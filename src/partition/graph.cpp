@@ -1,6 +1,7 @@
 #include "partition/graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/status.hpp"
 
@@ -55,27 +56,42 @@ Graph GraphBuilder::build() {
   g.total_vertex_weight_ = 0;
   for (const auto w : g.vertex_weights_) g.total_vertex_weight_ += w;
 
-  // Canonicalize (min, max) and sort so duplicates become adjacent.
+  // Canonicalize (min, max) and group the edges by their lower endpoint in
+  // place: count each group's size, then move every edge into its group
+  // (each swap places one edge for good).
+  std::vector<std::size_t> row(v + 1, 0);
   for (auto& e : edges_) {
     if (e.from > e.to) std::swap(e.from, e.to);
+    ++row[e.from + 1];
   }
-  std::sort(edges_.begin(), edges_.end(),
-            [](const HalfEdge& x, const HalfEdge& y) {
-              return x.from != y.from ? x.from < y.from : x.to < y.to;
-            });
-  // Merge parallel edges in place.
+  for (std::size_t i = 1; i <= v; ++i) row[i] += row[i - 1];
+  std::vector<std::size_t> next(row.begin(), row.end() - 1);
+  for (std::size_t r = 0; r < v; ++r) {
+    while (next[r] < row[r + 1]) {
+      HalfEdge e = edges_[next[r]];
+      while (e.from != r) std::swap(e, edges_[next[e.from]++]);
+      edges_[next[r]++] = e;
+    }
+  }
+  // Sort each group by upper endpoint and merge parallel edges, compacting
+  // towards the front: the list ends up sorted by (from, to), duplicates
+  // summed.
   std::size_t out = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (out > 0 && edges_[out - 1].from == edges_[i].from &&
-        edges_[out - 1].to == edges_[i].to) {
-      edges_[out - 1].weight += edges_[i].weight;
-    } else {
-      edges_[out++] = edges_[i];
+  for (std::size_t r = 0; r < v; ++r) {
+    std::sort(edges_.data() + row[r], edges_.data() + row[r + 1],
+              [](const HalfEdge& x, const HalfEdge& y) { return x.to < y.to; });
+    const std::size_t group = out;
+    for (std::size_t i = row[r]; i < row[r + 1]; ++i) {
+      if (out > group && edges_[out - 1].to == edges_[i].to) {
+        edges_[out - 1].weight += edges_[i].weight;
+      } else {
+        edges_[out++] = edges_[i];
+      }
     }
   }
   edges_.resize(out);
 
-  // Degree counting pass, then fill.
+  // Degree counting pass, then fill: rows come out sorted by neighbour id.
   g.offsets_.assign(v + 1, 0);
   for (const auto& e : edges_) {
     ++g.offsets_[e.from + 1];

@@ -78,9 +78,10 @@ struct Subgraph {
 [[nodiscard]] Subgraph induced_subgraph(const Graph& g,
                                         const std::vector<VertexId>& vertices);
 
-/// Incrementally collects vertices and edges, then builds a CSR Graph.
-/// Parallel edges are merged by summing their weights; self-loops are
-/// rejected (they carry no information for a cut objective).
+/// Incrementally collects vertices and edges, then builds a CSR Graph whose
+/// rows list neighbours in ascending id order.  Parallel edges are merged by
+/// summing their weights; self-loops are rejected (they carry no information
+/// for a cut objective).
 class GraphBuilder {
  public:
   /// Adds a vertex with the given weight; returns its id (dense, 0-based).

@@ -1,10 +1,10 @@
 #include "partition/initial.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <queue>
-#include <tuple>
 
 #include "common/status.hpp"
+#include "partition/gain_heap.hpp"
 #include "partition/quality.hpp"
 
 namespace lar::partition {
@@ -28,8 +28,9 @@ std::vector<std::uint8_t> grow_once(const Graph& g, std::uint64_t target0,
     gain[v] = -sum;
   }
 
-  // Max-heap with lazy invalidation: entries are (gain at push time, vertex).
-  std::priority_queue<std::pair<std::int64_t, VertexId>> frontier;
+  // Side-1 vertices adjacent to side 0, minus those taken since their last
+  // gain change (absorbed, or turned away by the side-0 cap).
+  GainHeap frontier(gain);
   const std::uint64_t total = g.total_vertex_weight();
   // Side 1 must also fit under its cap: grow at least until that holds.
   const std::uint64_t lo0 = total > max_side[1] ? total - max_side[1] : 0;
@@ -48,33 +49,34 @@ std::vector<std::uint8_t> grow_once(const Graph& g, std::uint64_t target0,
       const VertexId u = nbrs[i];
       if (side[u] == 0) continue;
       gain[u] += 2 * static_cast<std::int64_t>(wgts[i]);
-      frontier.emplace(gain[u], u);
+      frontier.update(u);
     }
   };
 
   absorb(static_cast<VertexId>(rng.below(n)));
 
+  // w0 only grows and side only flips 1 -> 0, so a vertex `fits` rejects
+  // stays rejected: the fallback scan below resumes where it stopped.
+  auto fits = [&](VertexId v) {
+    return w0 + g.vertex_weight(v) <= max_side[0] || w0 < lo0;
+  };
+  VertexId scan = 0;
+
   while (w0 < goal && added < n) {
     VertexId pick = static_cast<VertexId>(-1);
     while (!frontier.empty()) {
-      const auto [gval, v] = frontier.top();
-      frontier.pop();
-      if (side[v] == 0 || gval != gain[v]) continue;  // stale or absorbed
-      if (w0 + g.vertex_weight(v) > max_side[0] && w0 >= lo0) continue;
-      pick = v;
-      break;
+      const VertexId v = frontier.pop();
+      if (fits(v)) {
+        pick = v;
+        break;
+      }
     }
     if (pick == static_cast<VertexId>(-1)) {
       // Disconnected graph or everything on the frontier is too heavy:
-      // absorb an arbitrary leftover vertex to make progress.
-      for (VertexId v = 0; v < n; ++v) {
-        if (side[v] == 1 &&
-            (w0 + g.vertex_weight(v) <= max_side[0] || w0 < lo0)) {
-          pick = v;
-          break;
-        }
-      }
-      if (pick == static_cast<VertexId>(-1)) break;  // cannot grow further
+      // absorb the lowest-id leftover vertex that fits to make progress.
+      while (scan < n && (side[scan] == 0 || !fits(scan))) ++scan;
+      if (scan == n) break;  // cannot grow further
+      pick = scan;
     }
     absorb(pick);
   }

@@ -23,6 +23,8 @@ namespace lar::partition {
 ///              side 1 still exceeds max_side[1];
 /// `trials`   — number of random seeds to try (>= 1); best cut wins.
 ///
+/// Each trial is O(E log V); when the frontier runs dry (a disconnected
+/// graph) the leftover scan resumes where it stopped, O(V) per trial in all.
 /// Returns side assignment per vertex (0 or 1).
 [[nodiscard]] std::vector<std::uint8_t> grow_bisection(
     const Graph& g, std::uint64_t target0,

@@ -1,9 +1,9 @@
 #include "partition/refine.hpp"
 
-#include <queue>
-#include <utility>
+#include <algorithm>
 
 #include "common/status.hpp"
+#include "partition/gain_heap.hpp"
 #include "partition/quality.hpp"
 
 namespace lar::partition {
@@ -21,6 +21,12 @@ std::uint64_t fm_refine(const Graph& g, std::vector<std::uint8_t>& side,
 
   std::vector<std::int64_t> gain(n);
   std::vector<std::uint8_t> locked(n);
+  // Holds the unlocked vertices not yet taken since their last gain change:
+  // a vertex the destination cap turns away leaves the heap and comes back
+  // when a neighbour's move changes its gain.  Every pass drains it.
+  GainHeap heap(gain);
+  std::vector<VertexId> moves;
+  std::vector<std::uint64_t> cut_after;
 
   for (int pass = 0; pass < max_passes; ++pass) {
     if (passes_executed != nullptr) ++*passes_executed;
@@ -41,19 +47,15 @@ std::uint64_t fm_refine(const Graph& g, std::vector<std::uint8_t>& side,
     }
     std::fill(locked.begin(), locked.end(), std::uint8_t{0});
 
-    // Max-heap with lazy invalidation.
-    std::priority_queue<std::pair<std::int64_t, VertexId>> pq;
-    for (VertexId v = 0; v < n; ++v) pq.emplace(gain[v], v);
-
-    std::vector<VertexId> moves;
-    std::vector<std::uint64_t> cut_after;
+    for (VertexId v = 0; v < n; ++v) heap.update(v);
+    moves.clear();
+    cut_after.clear();
     std::uint64_t cur = cut;
     std::array<std::uint64_t, 2> w = weight;
 
-    while (!pq.empty()) {
-      const auto [gval, v] = pq.top();
-      pq.pop();
-      if (locked[v] || gval != gain[v]) continue;
+    while (!heap.empty()) {
+      const VertexId v = heap.pop();
+      const std::int64_t gval = gain[v];
       const int from = side[v];
       const int to = 1 - from;
       const std::uint64_t vw = g.vertex_weight(v);
@@ -76,7 +78,7 @@ std::uint64_t fm_refine(const Graph& g, std::vector<std::uint8_t>& side,
         // v arrived on u's side: the edge turned internal; otherwise it
         // turned external.
         gain[u] += (side[u] == to) ? -2 * ew : 2 * ew;
-        pq.emplace(gain[u], u);
+        heap.update(u);
       }
     }
 

@@ -19,7 +19,8 @@ namespace lar::partition {
 ///
 /// `max_side` — per-side weight caps enforced for every applied move (a move
 ///              that would overflow the destination side is skipped);
-/// `max_passes` — upper bound on FM passes (each pass is O(E log V));
+/// `max_passes` — upper bound on FM passes (each pass is O(E log V): the
+///                gain heap holds each vertex at most once);
 /// `passes_executed` — if non-null, incremented by the number of passes
 ///                     actually run (the partitioner's work metric).
 ///

@@ -601,6 +601,11 @@ void Engine::flush() {
 
 void Engine::poi_loop(Poi& poi) {
   chaos::Injector* const inj = options_.injector;
+  auto flush_out = [&poi] {
+    for (const Poi::OutLane& ol : poi.flush_lanes) {
+      ol.target->inbox.lane_flush(ol.lane);
+    }
+  };
   for (;;) {
     auto msg = poi.inbox.try_pop();
     if (!msg.has_value()) {
@@ -609,13 +614,16 @@ void Engine::poi_loop(Poi& poi) {
       // Flushing only on the empty-inbox edge (not per message) is what
       // lets batches form while the POI is busy; the per-lane batch bound
       // caps how long a tuple can stay staged meanwhile.
-      for (const Poi::OutLane& ol : poi.flush_lanes) {
-        ol.target->inbox.lane_flush(ol.lane);
-      }
+      flush_out();
       msg = poi.inbox.pop();
       if (!msg.has_value()) return;
     }
-    if (std::holds_alternative<ShutdownMsg>(*msg)) return;
+    if (std::holds_alternative<ShutdownMsg>(*msg)) {
+      // Same rule on exit: a retired POI's staged batch would otherwise be
+      // stranded with it while its targets live on.
+      flush_out();
+      return;
+    }
     // A crash sentinel kills the POI where it stands: messages queued behind
     // it stay unprocessed (the recovery driver discards them — their effects
     // come back via checkpoint restore + sender replay).
@@ -1659,8 +1667,9 @@ core::ReconfigurationPlan Engine::retire_servers(core::Manager& manager,
   elastic_ = true;
   const std::uint32_t current = active_servers_;
 
-  // Stop feeding the retiring sources first; tuples already queued on them
-  // are processed before their PROPAGATE by per-link FIFO.
+  // Stop feeding the retiring sources first; tuples still in their injector
+  // lanes are processed before the shutdown below, which rides FIFO-after
+  // the lane.
   set_inject_actives(target_servers);
 
   // Migrate-then-stop: the retirees are full wave members — they hand off
@@ -1674,9 +1683,20 @@ core::ReconfigurationPlan Engine::retire_servers(core::Manager& manager,
   // here guarantees none is stranded behind the shutdowns below.
   drain_fence();
 
-  for (auto& poi : pois_) {
-    if (poi->server < target_servers || poi->server >= current) continue;
-    poi->inbox.push_unbounded(Message{ShutdownMsg{}});
+  // The shared queue is served before lane data, so a retiring source's
+  // shutdown goes FIFO-after its injector lane (under the injector's producer
+  // lock): tuples injected before the stop are processed, not stranded.
+  {
+    std::lock_guard<std::mutex> lock(source_mutex_);
+    for (auto& poi : pois_) {
+      if (poi->server < target_servers || poi->server >= current) continue;
+      if (topology_.op(poi->op).is_source) {
+        poi->inbox.push_unbounded_after(inject_lane_[poi->flat],
+                                        Message{ShutdownMsg{}});
+      } else {
+        poi->inbox.push_unbounded(Message{ShutdownMsg{}});
+      }
+    }
   }
   for (auto& poi : pois_) {
     if (poi->server < target_servers || poi->server >= current) continue;

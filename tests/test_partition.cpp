@@ -1,10 +1,16 @@
 // Unit and property tests for the multilevel graph partitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <queue>
+#include <utility>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "partition/coarsen.hpp"
+#include "partition/gain_heap.hpp"
 #include "partition/graph.hpp"
 #include "partition/initial.hpp"
 #include "partition/partitioner.hpp"
@@ -102,6 +108,95 @@ TEST(GraphBuilder, IsolatedVertices) {
   const Graph g = b.build();
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_EQ(g.degree(0), 0u);
+}
+
+TEST(GraphBuilder, RandomMultigraphMatchesMapReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.below(60);
+    GraphBuilder b;
+    for (std::size_t i = 0; i < n; ++i) b.add_vertex(rng.below(10));
+    std::map<std::pair<VertexId, VertexId>, std::uint64_t> ref;
+    std::uint64_t total = 0;
+    const std::size_t edges = n < 2 ? 0 : rng.below(40 * n);
+    for (std::size_t e = 0; e < edges; ++e) {
+      // Few endpoints, so most edges repeat, in both orientations.
+      const auto a = static_cast<VertexId>(rng.below(n));
+      const auto c = static_cast<VertexId>((a + 1 + rng.below(n - 1)) % n);
+      const std::uint64_t w = rng.below(100);
+      b.add_edge(a, c, w);
+      ref[{std::min(a, c), std::max(a, c)}] += w;
+      total += w;
+    }
+    const Graph g = b.build();
+    ASSERT_EQ(g.num_vertices(), n);
+    EXPECT_EQ(g.num_edges(), ref.size());
+    EXPECT_EQ(g.total_edge_weight(), total);
+    std::size_t half_edges = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto wgts = g.neighbor_weights(v);
+      half_edges += nbrs.size();
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(nbrs[i - 1], nbrs[i]) << "row " << v;
+        }
+        const auto it = ref.find({std::min(v, nbrs[i]), std::max(v, nbrs[i])});
+        ASSERT_NE(it, ref.end());
+        EXPECT_EQ(wgts[i], it->second);
+      }
+    }
+    EXPECT_EQ(half_edges, 2 * ref.size());
+  }
+}
+
+// --- GainHeap -----------------------------------------------------------------
+
+TEST(GainHeap, PopsLikeLazyPriorityQueue) {
+  // Reference: the lazy-invalidation heap the addressable one replaces.  An
+  // entry is live while it carries the vertex's current gain and the vertex
+  // has not been popped since its last update.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.below(40);
+    std::vector<std::int64_t> gain(n);
+    for (auto& x : gain) x = static_cast<std::int64_t>(rng.below(7)) - 3;
+    GainHeap heap(gain);
+    std::priority_queue<std::pair<std::int64_t, VertexId>> lazy;
+    std::vector<std::uint8_t> taken(n, 1);
+    auto lazy_top_valid = [&] {
+      while (!lazy.empty()) {
+        const auto [g, v] = lazy.top();
+        if (!taken[v] && g == gain[v]) return true;
+        lazy.pop();
+      }
+      return false;
+    };
+    for (int op = 0; op < 2000; ++op) {
+      if (rng.below(3) == 0) {
+        ASSERT_EQ(heap.empty(), !lazy_top_valid());
+        if (heap.empty()) continue;
+        const VertexId want = lazy.top().second;
+        lazy.pop();
+        taken[want] = 1;
+        ASSERT_EQ(heap.pop(), want) << "seed " << seed << " op " << op;
+      } else {
+        // Small gain range and zero deltas: many ties and no-op updates.
+        const auto v = static_cast<VertexId>(rng.below(n));
+        gain[v] += static_cast<std::int64_t>(rng.below(5)) - 2;
+        heap.update(v);
+        lazy.emplace(gain[v], v);
+        taken[v] = 0;
+      }
+    }
+    while (lazy_top_valid()) {
+      const VertexId want = lazy.top().second;
+      lazy.pop();
+      taken[want] = 1;
+      ASSERT_EQ(heap.pop(), want);
+    }
+    EXPECT_TRUE(heap.empty());
+  }
 }
 
 // --- quality ------------------------------------------------------------------
@@ -432,6 +527,117 @@ TEST(InducedSubgraph, FullSelectionIsIsomorphic) {
   EXPECT_EQ(sub.graph.num_vertices(), g.num_vertices());
   EXPECT_EQ(sub.graph.num_edges(), g.num_edges());
   EXPECT_EQ(sub.graph.total_edge_weight(), g.total_edge_weight());
+}
+
+}  // namespace
+}  // namespace lar::partition
+
+// --- Golden plans -------------------------------------------------------------
+//
+// Digests of partition_graph's full output (assignment, edge cut and both
+// work counters) over k in 2..8, three balance bounds and four seeds.  The
+// graphs stress the heap-driven phases: dense coarse levels, gain ties,
+// side caps that reject the best-gain vertex, and growing that runs out of
+// frontier.  A change to the partitioner's internals must keep every plan.
+
+namespace lar::partition {
+namespace {
+
+/// Dense graph: 300 vertices, average degree above 100.
+Graph golden_dense() {
+  GraphBuilder b;
+  Rng rng(101);
+  constexpr std::size_t kN = 300;
+  for (std::size_t i = 0; i < kN; ++i) b.add_vertex(1 + rng.below(8));
+  for (std::size_t e = 0; e < 20000; ++e) {
+    const auto a = static_cast<VertexId>(rng.below(kN));
+    const auto c = static_cast<VertexId>((a + 1 + rng.below(kN - 1)) % kN);
+    b.add_edge(a, c, 1 + rng.below(20));
+  }
+  return b.build();
+}
+
+/// Unit vertex and edge weights on a sparse graph: gains tie constantly.
+Graph golden_unit_ties() {
+  GraphBuilder b;
+  Rng rng(202);
+  constexpr std::size_t kN = 1500;
+  for (std::size_t i = 0; i < kN; ++i) b.add_vertex(1);
+  for (std::size_t e = 0; e < 4500; ++e) {
+    const auto a = static_cast<VertexId>(rng.below(kN));
+    const auto c = static_cast<VertexId>((a + 1 + rng.below(kN - 1)) % kN);
+    b.add_edge(a, c, 1);
+  }
+  return b.build();
+}
+
+/// A few vertices each weigh a large share of a part, so side caps reject
+/// moves and absorptions.
+Graph golden_heavy() {
+  GraphBuilder b;
+  Rng rng(303);
+  constexpr std::size_t kN = 500;
+  for (std::size_t i = 0; i < kN; ++i) {
+    b.add_vertex(i % 61 == 0 ? 150 + rng.below(100) : 1 + rng.below(5));
+  }
+  for (std::size_t e = 0; e < 2500; ++e) {
+    const auto a = static_cast<VertexId>(rng.below(kN));
+    const auto c = static_cast<VertexId>((a + 1 + rng.below(kN - 1)) % kN);
+    b.add_edge(a, c, 1 + rng.below(10));
+  }
+  return b.build();
+}
+
+/// Mostly isolated vertices: growing exhausts its frontier again and again.
+Graph golden_isolated() {
+  GraphBuilder b;
+  Rng rng(404);
+  constexpr std::size_t kN = 2000;
+  for (std::size_t i = 0; i < kN; ++i) b.add_vertex(1 + rng.below(3));
+  for (std::size_t e = 0; e < 120; ++e) {
+    const auto a = static_cast<VertexId>(rng.below(kN));
+    const auto c = static_cast<VertexId>((a + 1 + rng.below(kN - 1)) % kN);
+    b.add_edge(a, c, 1 + rng.below(10));
+  }
+  return b.build();
+}
+
+std::uint64_t plan_digest(const Graph& g) {
+  std::uint64_t h = 0;
+  for (std::uint32_t k = 2; k <= 8; ++k) {
+    for (const double alpha : {1.01, 1.03, 1.2}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        PartitionOptions opts;
+        opts.num_parts = k;
+        opts.alpha = alpha;
+        opts.seed = seed;
+        const PartitionResult res = partition_graph(g, opts);
+        for (const auto p : res.assignment) h = hash_combine(h, mix64(p));
+        h = hash_combine(h, mix64(res.edge_cut));
+        h = hash_combine(h, mix64(res.fm_passes));
+        h = hash_combine(h, mix64(res.bisections));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(PartitionGolden, DenseGraph) {
+  const Graph g = golden_dense();
+  ASSERT_GT(2 * g.num_edges(), 100 * g.num_vertices());
+  EXPECT_EQ(plan_digest(g), 16704764521399490957u);
+}
+
+TEST(PartitionGolden, UnitWeightTies) {
+  EXPECT_EQ(plan_digest(golden_unit_ties()), 5958941338425690036u);
+}
+
+TEST(PartitionGolden, HeavyVerticesTripCaps) {
+  EXPECT_EQ(plan_digest(golden_heavy()), 8471860010387652232u);
+}
+
+TEST(PartitionGolden, MostlyIsolatedVertices) {
+  EXPECT_EQ(plan_digest(golden_isolated()), 13367335833546693844u);
 }
 
 }  // namespace
