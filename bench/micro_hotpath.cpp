@@ -375,9 +375,11 @@ int main(int argc, char** argv) {
   // push/pop chunks so the numbers isolate the hand-off mechanism itself:
   // mutex+deque (the seed's only path, still the control plane), an SPSC
   // ring lane publishing every push (batch 1 — the degenerate batch, same
-  // per-item visibility as the old queue), and the same lane publishing
-  // every 32 pushes (the engine's default lane_batch).  All three pop the
-  // identical value stream, so the checksums triple as a differential test.
+  // per-item visibility as the old queue), the same lane publishing every
+  // 32 pushes (the engine's default lane_batch) but popped one item at a
+  // time, and that lane popped the way the engine pops it: runs of up to 32
+  // items per gate hold and head store.  All four pop the identical value
+  // stream, so the checksums double as a differential test.
   {
     constexpr std::uint64_t kChunk = 64;
     const std::uint64_t chunks = std::max<std::uint64_t>(ops / kChunk, 1);
@@ -422,9 +424,33 @@ int main(int argc, char** argv) {
         return sum;
       }));
     }
-    check_equal("channel mpsc vs spsc lane", points[points.size() - 3].checksum,
-                points[points.size() - 2].checksum);
+    {
+      runtime::Channel<std::uint64_t> ch(kChunk);
+      const std::uint32_t lane = ch.add_lane(kChunk);
+      ch.set_lane_batch(32);
+      std::vector<std::uint64_t> run;
+      run.reserve(32);
+      points.push_back(timed("channel_batched_run_pop", n, [&] {
+        std::uint64_t sum = 0;
+        std::uint64_t v = 1;
+        for (std::uint64_t c = 0; c < chunks; ++c) {
+          for (std::uint64_t k = 0; k < kChunk; ++k) ch.lane_push(lane, v++);
+          ch.lane_flush(lane);
+          for (std::uint64_t k = 0; k < kChunk; k += run.size()) {
+            run.clear();
+            if (!ch.try_pop_run(run)) break;  // shows as a checksum mismatch
+            for (const std::uint64_t x : run) sum += x;
+          }
+        }
+        return sum;
+      }));
+    }
+    check_equal("channel mpsc vs spsc lane", points[points.size() - 4].checksum,
+                points[points.size() - 3].checksum);
     check_equal("channel spsc lane vs batched",
+                points[points.size() - 3].checksum,
+                points[points.size() - 2].checksum);
+    check_equal("channel batched vs run pop",
                 points[points.size() - 2].checksum, points.back().checksum);
   }
 

@@ -67,10 +67,11 @@ struct Engine::Poi {
   FlatMap<std::uint64_t, std::uint32_t> lane_to;  ///< target flat -> lane id
 
   /// Bounded free-list of recycled tuple field buffers.  Owned end to end by
-  /// this POI's thread: buffers are acquired when this POI copies an
-  /// emission for a non-final local edge and released once a delivered
-  /// tuple has been fully processed, so the steady-state data path stops
-  /// heap-allocating.
+  /// this POI's thread: buffers are acquired whenever this POI needs a copy
+  /// of an emission (emit(const Tuple&), a non-final local edge, a decoded
+  /// remote hop) and released once a delivered tuple has been fully
+  /// processed.  Buffers travel with the tuples they carry, so a same-server
+  /// chain refills each receiver's arena from its sender's.
   std::vector<std::vector<Key>> arena;
   static constexpr std::size_t kArenaCap = 256;
 
@@ -86,6 +87,11 @@ struct Engine::Poi {
     if (buf.capacity() == 0 || arena.size() >= kArenaCap) return;
     arena.push_back(std::move(buf));
   }
+
+  /// The run being processed (poi_loop) and the wire buffer remote hops
+  /// encode into; both keep their capacity, so neither allocates per hop.
+  std::vector<Message> run;
+  std::vector<std::byte> wire;
 
   std::atomic<std::uint64_t> processed{0};
 
@@ -606,78 +612,92 @@ void Engine::poi_loop(Poi& poi) {
       ol.target->inbox.lane_flush(ol.lane);
     }
   };
+  std::vector<Message>& run = poi.run;
   for (;;) {
-    auto msg = poi.inbox.try_pop();
-    if (!msg.has_value()) {
+    run.clear();
+    if (!poi.inbox.try_pop_run(run)) {
       // About to go idle: publish every staged outbound batch first, or a
       // downstream POI could wait forever on tuples already emitted here.
       // Flushing only on the empty-inbox edge (not per message) is what
       // lets batches form while the POI is busy; the per-lane batch bound
       // caps how long a tuple can stay staged meanwhile.
       flush_out();
-      msg = poi.inbox.pop();
-      if (!msg.has_value()) return;
+      if (!poi.inbox.pop_run(run)) return;
     }
-    if (std::holds_alternative<ShutdownMsg>(*msg)) {
-      // Same rule on exit: a retired POI's staged batch would otherwise be
-      // stranded with it while its targets live on.
-      flush_out();
-      return;
+    // A run is either one control message or lane data only, and all of it
+    // is processed before the next pop: a sentinel below always arrives
+    // alone, so returning on it never strands a taken item.
+    for (Message& msg : run) {
+      if (std::holds_alternative<ShutdownMsg>(msg)) {
+        // Same rule on exit: a retired POI's staged batch would otherwise be
+        // stranded with it while its targets live on.
+        flush_out();
+        return;
+      }
+      // A crash sentinel kills the POI where it stands: messages queued
+      // behind it stay unprocessed (the recovery driver discards them —
+      // their effects come back via checkpoint restore + sender replay).
+      if (std::holds_alternative<CrashMsg>(msg)) {
+        poi.crash_exited.store(true, std::memory_order_release);
+        return;
+      }
+      if (inj != nullptr &&
+          inj->fire(chaos::FaultSite::kWorkerStall, poi.flat)) {
+        // A stall window: the POI yields the CPU `magnitude` times before
+        // touching the message; purely a scheduling perturbation.
+        const std::uint32_t yields =
+            inj->magnitude(chaos::FaultSite::kWorkerStall);
+        for (std::uint32_t i = 0; i < yields; ++i) std::this_thread::yield();
+      }
+      dispatch(poi, std::move(msg));
+      // A delay stash opened by this item queued its FlushDelayedMsg on the
+      // shared queue, which a one-item pop served next.  Flush it here, so
+      // the rest of the run meets the same stash state (the queued message
+      // then finds nothing to flush).
+      if (inj != nullptr && !poi.delayed.empty()) flush_all_delayed(poi);
     }
-    // A crash sentinel kills the POI where it stands: messages queued behind
-    // it stay unprocessed (the recovery driver discards them — their effects
-    // come back via checkpoint restore + sender replay).
-    if (std::holds_alternative<CrashMsg>(*msg)) {
-      poi.crash_exited.store(true, std::memory_order_release);
-      return;
-    }
-    if (inj != nullptr &&
-        inj->fire(chaos::FaultSite::kWorkerStall, poi.flat)) {
-      // A stall window: the POI yields the CPU `magnitude` times before
-      // touching the message; purely a scheduling perturbation.
-      const std::uint32_t yields =
-          inj->magnitude(chaos::FaultSite::kWorkerStall);
-      for (std::uint32_t i = 0; i < yields; ++i) std::this_thread::yield();
-    }
-    std::visit(
-        [&](auto&& m) {
-          using T = std::decay_t<decltype(m)>;
-          // Any control message force-flushes every delay stash first: the
-          // wave relies on a predecessor's pre-switch data being processed
-          // before its PROPAGATE, and injected delays must not outlive that
-          // ordering.
-          if constexpr (std::is_same_v<T, DataMsg>) {
-            handle_data(poi, std::move(m));
-          } else if constexpr (std::is_same_v<T, FlushDelayedMsg>) {
-            flush_delayed(poi, m.link);
-          } else if constexpr (std::is_same_v<T, GetMetricsMsg>) {
-            flush_all_delayed(poi);
-            send_metrics(poi);
-          } else if constexpr (std::is_same_v<T, ReconfMsg>) {
-            flush_all_delayed(poi);
-            handle_reconf(poi, std::move(m));
-          } else if constexpr (std::is_same_v<T, PropagateMsg>) {
-            flush_all_delayed(poi);
-            handle_propagate(poi, m);
-          } else if constexpr (std::is_same_v<T, MigrateMsg>) {
-            flush_all_delayed(poi);
-            handle_migrate(poi, std::move(m));
-          } else if constexpr (std::is_same_v<T, BarrierMsg>) {
-            flush_all_delayed(poi);
-            handle_barrier(poi, m);
-          } else if constexpr (std::is_same_v<T, CheckpointCommitMsg>) {
-            flush_all_delayed(poi);
-            handle_commit(poi, m);
-          } else if constexpr (std::is_same_v<T, ReplayRequestMsg>) {
-            flush_all_delayed(poi);
-            handle_replay_request(poi, m);
-          } else if constexpr (std::is_same_v<T, ReplayEndMsg>) {
-            flush_all_delayed(poi);
-            handle_replay_end(poi, m);
-          }
-        },
-        std::move(*msg));
   }
+}
+
+void Engine::dispatch(Poi& poi, Message&& msg) {
+  std::visit(
+      [&](auto&& m) {
+        using T = std::decay_t<decltype(m)>;
+        // Any control message force-flushes every delay stash first: the
+        // wave relies on a predecessor's pre-switch data being processed
+        // before its PROPAGATE, and injected delays must not outlive that
+        // ordering.
+        if constexpr (std::is_same_v<T, DataMsg>) {
+          handle_data(poi, std::move(m));
+        } else if constexpr (std::is_same_v<T, FlushDelayedMsg>) {
+          flush_delayed(poi, m.link);
+        } else if constexpr (std::is_same_v<T, GetMetricsMsg>) {
+          flush_all_delayed(poi);
+          send_metrics(poi);
+        } else if constexpr (std::is_same_v<T, ReconfMsg>) {
+          flush_all_delayed(poi);
+          handle_reconf(poi, std::move(m));
+        } else if constexpr (std::is_same_v<T, PropagateMsg>) {
+          flush_all_delayed(poi);
+          handle_propagate(poi, m);
+        } else if constexpr (std::is_same_v<T, MigrateMsg>) {
+          flush_all_delayed(poi);
+          handle_migrate(poi, std::move(m));
+        } else if constexpr (std::is_same_v<T, BarrierMsg>) {
+          flush_all_delayed(poi);
+          handle_barrier(poi, m);
+        } else if constexpr (std::is_same_v<T, CheckpointCommitMsg>) {
+          flush_all_delayed(poi);
+          handle_commit(poi, m);
+        } else if constexpr (std::is_same_v<T, ReplayRequestMsg>) {
+          flush_all_delayed(poi);
+          handle_replay_request(poi, m);
+        } else if constexpr (std::is_same_v<T, ReplayEndMsg>) {
+          flush_all_delayed(poi);
+          handle_replay_end(poi, m);
+        }
+      },
+      std::move(msg));
 }
 
 void Engine::handle_data(Poi& poi, DataMsg msg) {
@@ -743,7 +763,7 @@ void Engine::deliver_data(Poi& poi, DataMsg msg) {
       // Buffer tuples whose key state is still in flight (Section 3.4:
       // "tuples are buffered and are only processed once the state of their
       // key is received").
-      if (poi.awaiting.contains(in_key)) {
+      if (!poi.awaiting.empty() && poi.awaiting.contains(in_key)) {
         // Buffering implies a live reconfiguration: `awaiting` is populated
         // by handle_reconf and fully drained before `staged` resets, so a
         // parked tuple always has an incoming MIGRATE to wake it.  Keys not
@@ -823,7 +843,18 @@ void Engine::process_tuple(Poi& poi, const Tuple& tuple, Key in_key) {
     RoutingEmitter(Engine& e, Poi& p, Key k)
         : engine(e), poi(p), in_key(k) {}
 
-    void emit(Tuple tuple) override {
+    void emit(const Tuple& tuple) override { route(tuple, nullptr); }
+
+    void emit(Tuple&& tuple) override {
+      route(tuple, &tuple);
+      // The final local edge moved the storage out; anything left (sinks,
+      // remote-only emissions) goes back to the free-list.
+      poi.arena_release(std::move(tuple.fields));
+    }
+
+    /// `owned` is the emission's own storage when the operator gave it up;
+    /// only the final out-edge may take it.
+    void route(const Tuple& tuple, Tuple* owned) {
       const auto& out = engine.topology_.out_edges(poi.op);
       for (std::size_t k = 0; k < out.size(); ++k) {
         const EdgeSpec& edge = engine.topology_.edges()[out[k]];
@@ -831,19 +862,16 @@ void Engine::process_tuple(Poi& poi, const Tuple& tuple, Key in_key) {
           LAR_CHECK(edge.key_field < tuple.fields.size());
           poi.pair_stats[k]->record(in_key, tuple.fields[edge.key_field]);
         }
-        engine.send_data(poi, static_cast<std::uint32_t>(k), tuple, in_key,
-                         /*last=*/k + 1 == out.size());
+        engine.send_data(poi, static_cast<std::uint32_t>(k), tuple,
+                         k + 1 == out.size() ? owned : nullptr, in_key);
       }
-      // The final local edge moved the storage out; anything left (sinks,
-      // remote-only emissions) goes back to the free-list.
-      poi.arena_release(std::move(tuple.fields));
     }
   } emitter(*this, poi, in_key);
   poi.logic->process(tuple, emitter);
 }
 
-void Engine::send_data(Poi& poi, std::uint32_t out_pos, Tuple& tuple,
-                       Key in_key, bool last) {
+void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
+                       Tuple* owned, Key in_key) {
   const std::uint32_t eid = topology_.out_edges(poi.op)[out_pos];
   const EdgeSpec& edge = topology_.edges()[eid];
   const InstanceIndex dst = poi.routers[out_pos]->route(tuple);
@@ -861,23 +889,29 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, Tuple& tuple,
   DataMsg out{Tuple{}, eid, anchor};
   if (target.server == poi.server) {
     counters.local.fetch_add(1, std::memory_order_relaxed);
-    if (last) {
-      // Same-server final edge: the hand-off is a pointer move into the
-      // co-located POI's lane — the paper's "address in memory" hop, with
-      // no copy at all.  The receiver recycles the storage once processed.
-      out.tuple = std::move(tuple);
+    if (owned != nullptr) {
+      // Same-server hop of storage the operator gave up: the hand-off is a
+      // pointer move into the co-located POI's lane — the paper's "address
+      // in memory" hop, with no copy at all.  The receiver recycles the
+      // storage once processed.
+      out.tuple = std::move(*owned);
     } else {
-      // A non-final local edge still needs its own copy, but into a
-      // recycled buffer rather than a fresh heap allocation.
+      // Otherwise this hop needs its own copy, but into a recycled buffer
+      // rather than a fresh heap allocation.
       out.tuple.fields = poi.arena_acquire();
       out.tuple.fields.assign(tuple.fields.begin(), tuple.fields.end());
       out.tuple.padding = tuple.padding;
     }
   } else {
+    // The network path: every wire byte is written (padding zeroed) into
+    // this POI's reused buffer, so the modeled copy cost stays while the
+    // allocation goes; the receiver's copy lands in a recycled buffer.
     counters.remote.fetch_add(1, std::memory_order_relaxed);
-    const std::vector<std::byte> wire = encode_tuple(tuple);
-    counters.remote_bytes.fetch_add(wire.size(), std::memory_order_relaxed);
-    out.tuple = decode_tuple(wire);
+    encode_tuple_into(tuple, poi.wire);
+    counters.remote_bytes.fetch_add(poi.wire.size(),
+                                    std::memory_order_relaxed);
+    out.tuple.fields = poi.arena_acquire();
+    decode_tuple_into(poi.wire, out.tuple);
   }
   chaos::Injector* const inj = options_.injector;
   if (inj != nullptr || ckpt_enabled_) {
@@ -1155,7 +1189,8 @@ void Engine::handle_migrate(Poi& poi, MigrateMsg msg) {
       }
     }
     for (const std::vector<std::byte>& wire : spilled) {
-      Tuple tuple = decode_tuple(wire);
+      Tuple tuple{poi.arena_acquire(), 0};
+      decode_tuple_into(wire, tuple);
       process_tuple(poi, tuple, msg.key);
       poi.arena_release(std::move(tuple.fields));
       if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

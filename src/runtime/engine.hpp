@@ -392,6 +392,7 @@ class Engine {
   struct Poi;  // one operator instance: thread, inbox, routers, migration state
 
   void poi_loop(Poi& poi);
+  void dispatch(Poi& poi, Message&& msg);
   void handle_data(Poi& poi, DataMsg msg);
   void deliver_data(Poi& poi, DataMsg msg);
   void buffer_tuple(Poi& poi, Key in_key, DataMsg msg);
@@ -461,12 +462,13 @@ class Engine {
 
   /// Routes `tuple` over edge at out-position `out_pos` from `poi`,
   /// serializing if cross-server; `in_key` is the emitting tuple's anchor
-  /// key, forwarded to the receiver on non-fields edges.  `last` marks the
-  /// final out-edge of this emission: a same-server hand-off may then move
-  /// the tuple's field storage into the destination lane instead of copying
-  /// (non-last local edges copy into an arena-recycled buffer).
-  void send_data(Poi& poi, std::uint32_t out_pos, Tuple& tuple, Key in_key,
-                 bool last);
+  /// key, forwarded to the receiver on non-fields edges.  `owned` (null
+  /// unless this is the final out-edge of an emit(Tuple&&)) is storage the
+  /// hop may take: a same-server hand-off then moves it into the
+  /// destination lane; every other hop copies into an arena-recycled
+  /// buffer.
+  void send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
+                 Tuple* owned, Key in_key);
 
   [[nodiscard]] Poi& poi_at(OperatorId op, InstanceIndex index);
 

@@ -20,15 +20,20 @@ namespace lar::runtime {
 /// Sink for tuples an operator emits; the engine routes them on every
 /// outbound edge of the operator.
 ///
-/// The emitted tuple is handed over by value and the engine takes full
-/// ownership of its storage: a same-server hop moves the field buffer
-/// straight into the destination's lane and otherwise recycles it through a
-/// per-POI arena (DESIGN.md §13).  Operators must not keep references into
-/// an emitted tuple after emit() returns.
+/// Two overloads, and neither allocates in steady state (DESIGN.md §13):
+///   * emit(const Tuple&) — the operator keeps its tuple (typically the
+///     input it was handed); the engine copies it into field buffers
+///     recycled through the *sending* POI's arena.
+///   * emit(Tuple&&) — the operator gives the storage up; a same-server
+///     hop on the final out-edge moves the field buffer straight into the
+///     destination's lane, and whatever no hop took is recycled into the
+///     sending POI's arena.  Operators must not use a moved-from tuple.
+/// Remote hops serialize either way (the byte cost is the model).
 class Emitter {
  public:
   virtual ~Emitter() = default;
-  virtual void emit(Tuple tuple) = 0;
+  virtual void emit(const Tuple& tuple) = 0;
+  virtual void emit(Tuple&& tuple) = 0;
 };
 
 /// One operator instance's processing logic.  Each POI gets its own object;

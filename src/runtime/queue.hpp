@@ -24,14 +24,28 @@
 //   * ordering across different producers' lanes is unspecified, exactly as
 //     the old global FIFO never promised more than some interleaving.
 //
+// Consumer side: every pop takes a *run* — the front shared message, one
+// due lane control message, or up to lane_batch consecutive data items from
+// one lane, stopping at that lane's control mark.  A run costs one gate hold,
+// one `head` store and one parked-producer check however long it is; the
+// engine processes the whole run before it pops again, so control is still
+// served between runs (held back by at most one run of data).
+//
 // Memory ordering: the lock-free hand-off uses seq_cst on the four
 // cross-thread atomics (tail, head, ctrl_mark, the sleep flags).  The two
 // Dekker-style pairs — publish-then-check-consumer-waiting vs
-// set-waiting-then-scan, and head-store-then-check-producer-waiting vs
+// arm-waiting-then-scan, and head-store-then-check-producer-waiting vs
 // register-then-recheck — plus lock-then-notify on the shared mutex are what
 // make blocking wake-ups race-free; the consumer additionally loads tail
 // *before* ctrl_mark so a published post-control suffix can never be seen
-// without the control mark that precedes it.
+// without the control mark that precedes it.  A producer re-reads `head`
+// only when the ring looks full against the last value it saw.  Exactly one
+// publisher wakes a parked consumer: the one whose exchange clears
+// `consumer_waiting_`.  Because a waker can clear the flag armed for a later
+// park (it read the flag, then was descheduled), the consumer re-arms it and
+// rescans before *every* sleep — a predicate wait that loops back to sleep
+// without re-arming would miss every later publish.
+
 #pragma once
 
 #include <algorithm>
@@ -86,11 +100,13 @@ class Channel {
     return id;
   }
 
-  /// Items per lane publication.  1 (the default) publishes every push —
-  /// byte-for-byte the unbatched hand-off; larger values defer the tail
-  /// store so a burst of emissions costs one atomic per `batch`.  Staged
-  /// items become visible at the next auto-publish, lane_flush(), or
-  /// push_unbounded_after().  Call before producers start.
+  /// Items per lane publication, and the longest data run pop_run() takes
+  /// from one lane.  1 (the default) publishes every push and pops one item
+  /// at a time — byte-for-byte the unbatched hand-off; larger values defer
+  /// the tail store so a burst of emissions costs one atomic per `batch`,
+  /// and let one pop move up to `batch` items.  Staged items become visible
+  /// at the next auto-publish, lane_flush(), or push_unbounded_after().
+  /// Call before producers start.
   void set_lane_batch(std::size_t batch) {
     LAR_CHECK(batch >= 1);
     batch_ = batch;
@@ -107,13 +123,16 @@ class Channel {
   bool lane_push(std::uint32_t lane_id, T item) {
     LAR_CHECK(validator_ == nullptr || validator_(item));
     Lane& lane = lanes_[lane_id];
-    for (;;) {
-      if (closed_.load(std::memory_order_relaxed)) return false;
-      const std::uint64_t head = lane.head.load(std::memory_order_seq_cst);
-      if (lane.staged - head < lane.ring.size()) break;
+    if (closed_.load(std::memory_order_relaxed)) return false;
+    // The cached head is a lower bound of the consumer's: only a ring that
+    // looks full against it costs a reload of the consumer's cache line.
+    while (lane.staged - lane.head_seen >= lane.ring.size()) {
+      lane.head_seen = lane.head.load(std::memory_order_seq_cst);
+      if (lane.staged - lane.head_seen < lane.ring.size()) break;
       // Ring full: publish what we have so the consumer can make progress,
       // then park on the shared condvar until it frees a slot.
       publish(lane);
+      const std::uint64_t head = lane.head_seen;
       std::unique_lock lock(mutex_);
       waiting_producers_.fetch_add(1, std::memory_order_seq_cst);
       not_full_.wait(lock, [&] {
@@ -222,69 +241,34 @@ class Channel {
 
   // --- consumer side ---------------------------------------------------------
 
-  /// Blocking pop; returns nullopt once closed *and* drained.
-  std::optional<T> pop() {
-    for (;;) {
-      // Fast path: lane data only, lock-free, taken whenever no control /
-      // shared message is pending (the overwhelmingly common case).
-      if (slow_count_.load(std::memory_order_seq_cst) == 0) {
-        bool wake = false;
-        std::optional<T> item;
-        {
-          GateGuard gate(*this);
-          item = try_pop_lane_data(wake);
-        }
-        if (item.has_value()) {
-          if (wake) wake_producers();
-          return item;
-        }
-      }
-      std::unique_lock lock(mutex_);
-      {
-        bool wake = false;
-        std::optional<T> item;
-        {
-          GateGuard gate(*this);
-          item = try_pop_any_locked(wake);
-        }
-        if (item.has_value()) {
-          lock.unlock();
-          // We held the mutex after the head store, so a producer mid-wait
-          // cannot miss this notification (lock-then-notify).
-          if (wake) not_full_.notify_all();
-          return item;
-        }
-      }
-      consumer_waiting_.store(true, std::memory_order_seq_cst);
-      not_empty_.wait(lock, [&] { return closed_ || available_locked(); });
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-      if (closed_ && !available_locked()) return std::nullopt;
-    }
+  /// Blocking pop of one run, appended to `out`: the front shared message,
+  /// one due lane control message, or up to lane_batch consecutive data
+  /// items from one lane (never past its control mark).  Returns false once
+  /// closed *and* drained.
+  bool pop_run(std::vector<T>& out) {
+    return pop_impl(/*block=*/true, batch_,
+                    [&out](T&& item) { out.push_back(std::move(item)); });
   }
 
-  /// Non-blocking pop; nullopt when nothing is currently consumable.
-  std::optional<T> try_pop() {
-    if (slow_count_.load(std::memory_order_seq_cst) == 0) {
-      bool wake = false;
-      std::optional<T> item;
-      {
-        GateGuard gate(*this);
-        item = try_pop_lane_data(wake);
-      }
-      if (item.has_value()) {
-        if (wake) wake_producers();
-      }
-      return item;
-    }
-    std::unique_lock lock(mutex_);
-    bool wake = false;
+  /// Non-blocking pop_run(); false when nothing is currently consumable.
+  bool try_pop_run(std::vector<T>& out) {
+    return pop_impl(/*block=*/false, batch_,
+                    [&out](T&& item) { out.push_back(std::move(item)); });
+  }
+
+  /// Blocking pop of a single item (a run capped at one); returns nullopt
+  /// once closed *and* drained.
+  std::optional<T> pop() {
     std::optional<T> item;
-    {
-      GateGuard gate(*this);
-      item = try_pop_any_locked(wake);
-    }
-    lock.unlock();
-    if (item.has_value() && wake) not_full_.notify_all();
+    pop_impl(/*block=*/true, 1, [&item](T&& x) { item.emplace(std::move(x)); });
+    return item;
+  }
+
+  /// Non-blocking pop(); nullopt when nothing is currently consumable.
+  std::optional<T> try_pop() {
+    std::optional<T> item;
+    pop_impl(/*block=*/false, 1,
+             [&item](T&& x) { item.emplace(std::move(x)); });
     return item;
   }
 
@@ -366,6 +350,12 @@ class Channel {
     return high_water_.load(std::memory_order_relaxed);
   }
 
+  /// How often the consumer woke parked producers — at most once per popped
+  /// run.  A relaxed diagnostic, bumped on the wake path only.
+  [[nodiscard]] std::uint64_t producer_wakes() const {
+    return producer_wakes_.load(std::memory_order_relaxed);
+  }
+
  private:
   static constexpr std::uint64_t kNoCtrl = ~std::uint64_t{0};
 
@@ -379,6 +369,9 @@ class Channel {
     /// Next unstaged ring position; producer thread only (the recovery
     /// driver may touch it via lane_abort_staged after joining the thread).
     std::uint64_t staged = 0;
+    /// The consumer's head as this lane's producer last read it; reloaded
+    /// only when the ring looks full against it.  Producer thread only.
+    std::uint64_t head_seen = 0;
 
     alignas(64) std::atomic<std::uint64_t> tail{0};  ///< published
     alignas(64) std::atomic<std::uint64_t> head{0};  ///< consumed
@@ -410,23 +403,100 @@ class Channel {
     if (lane.staged == lane.tail.load(std::memory_order_relaxed)) return;
     lane.tail.store(lane.staged, std::memory_order_seq_cst);
     note_hwm();
-    if (consumer_waiting_.load(std::memory_order_seq_cst)) {
-      // Lock-then-notify: the consumer checks availability under mutex_
-      // before sleeping, so touching the mutex here closes the gap between
-      // its predicate check and the actual sleep.
+    // One wake per park: of all publishers that see the consumer parked,
+    // only the one whose exchange clears the flag notifies.  The plain load
+    // first keeps the common no-sleeper case free of a read-modify-write.
+    if (consumer_waiting_.load(std::memory_order_seq_cst) &&
+        consumer_waiting_.exchange(false, std::memory_order_seq_cst)) {
+      // Lock-then-notify: the consumer rescans under mutex_ after arming
+      // the flag, so touching the mutex here closes the gap between that
+      // rescan and the actual sleep.
       { std::lock_guard lock(mutex_); }
       not_empty_.notify_one();
     }
   }
 
+  /// One run pop.  `sink` receives each taken item under the gate, in
+  /// order.  The lock-free scan serves lane data whenever no control or
+  /// shared message is pending; otherwise the locked scan serves, in order,
+  /// the shared queue, a due lane control message, lane data.  Blocking pops
+  /// park on not_empty_ in an explicit loop that re-arms consumer_waiting_
+  /// and rescans before every sleep (see the header comment).
+  template <typename Sink>
+  bool pop_impl(bool block, std::size_t limit, Sink&& sink) {
+    bool wake = false;
+    if (slow_count_.load(std::memory_order_seq_cst) == 0) {
+      bool got = false;
+      {
+        GateGuard gate(*this);
+        got = take_lane_data(limit, sink, wake);
+      }
+      if (got) {
+        if (wake) wake_producers();
+        return true;
+      }
+    }
+    std::unique_lock lock(mutex_);
+    bool armed = false;
+    for (;;) {
+      bool got = false;
+      {
+        GateGuard gate(*this);
+        got = take_any_locked(limit, sink, wake);
+      }
+      if (got) {
+        if (armed) consumer_waiting_.store(false, std::memory_order_relaxed);
+        lock.unlock();
+        // We held the mutex after the head store, so a producer mid-wait
+        // cannot miss this notification (lock-then-notify).
+        if (wake) notify_producers();
+        return true;
+      }
+      if (closed_ || !block) {
+        if (armed) consumer_waiting_.store(false, std::memory_order_relaxed);
+        return false;
+      }
+      if (!armed) {
+        // Arm, then rescan: a publish that missed the flag is visible to the
+        // rescan (Dekker pair with publish()).
+        consumer_waiting_.store(true, std::memory_order_seq_cst);
+        armed = true;
+        continue;
+      }
+      not_empty_.wait(lock);
+      // Woken or spurious: the waker may have cleared the flag, so the next
+      // sleep must re-arm it first.
+      armed = false;
+    }
+  }
+
   void wake_producers() {
     { std::lock_guard lock(mutex_); }
+    notify_producers();
+  }
+
+  void notify_producers() {
+    producer_wakes_.fetch_add(1, std::memory_order_relaxed);
     not_full_.notify_all();
+  }
+
+  /// Moves lane data [h, end) — at most `limit` items — to `sink` and
+  /// advances head once.  Gate held.
+  template <typename Sink>
+  void take_run(Lane& lane, std::uint64_t h, std::uint64_t end,
+                std::size_t limit, Sink& sink, bool& wake) {
+    const std::uint64_t stop = std::min<std::uint64_t>(end, h + limit);
+    for (std::uint64_t i = h; i < stop; ++i) {
+      sink(std::move(lane.ring[i & lane.mask]));
+    }
+    lane.head.store(stop, std::memory_order_seq_cst);
+    wake = waiting_producers_.load(std::memory_order_seq_cst) != 0;
   }
 
   /// Round-robin scan for consumable lane *data* (below each lane's pending
   /// control mark).  Gate held; no mutex.
-  std::optional<T> try_pop_lane_data(bool& wake) {
+  template <typename Sink>
+  bool take_lane_data(std::size_t limit, Sink& sink, bool& wake) {
     const std::size_t n = num_lanes_.load(std::memory_order_acquire);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = cursor_ + k < n ? cursor_ + k : cursor_ + k - n;
@@ -434,27 +504,29 @@ class Channel {
       const std::uint64_t h = lane.head.load(std::memory_order_relaxed);
       // tail before ctrl_mark: the producer stores the mark before any
       // post-control publish, so seeing the suffix implies seeing the mark.
-      if (h >= lane.tail.load(std::memory_order_seq_cst)) continue;
-      if (h >= lane.ctrl_mark.load(std::memory_order_seq_cst)) continue;
-      T item = std::move(lane.ring[h & lane.mask]);
-      lane.head.store(h + 1, std::memory_order_seq_cst);
+      const std::uint64_t t = lane.tail.load(std::memory_order_seq_cst);
+      if (h >= t) continue;
+      const std::uint64_t end =
+          std::min(t, lane.ctrl_mark.load(std::memory_order_seq_cst));
+      if (h >= end) continue;
+      take_run(lane, h, end, limit, sink, wake);
       cursor_ = i + 1 < n ? i + 1 : 0;
-      wake = waiting_producers_.load(std::memory_order_seq_cst) != 0;
-      return item;
+      return true;
     }
-    return std::nullopt;
+    return false;
   }
 
   /// Full scan under mutex_ + gate: shared queue first (driver-side control
   /// keeps its old FIFO edge over later lane-side control), then per lane a
-  /// ready control message or data below the pending mark.
-  std::optional<T> try_pop_any_locked(bool& wake) {
+  /// ready control message or a data run below the pending mark.
+  template <typename Sink>
+  bool take_any_locked(std::size_t limit, Sink& sink, bool& wake) {
     if (!shared_.empty()) {
-      T item = std::move(shared_.front());
+      sink(std::move(shared_.front()));
       shared_.pop_front();
       slow_count_.fetch_sub(1, std::memory_order_seq_cst);
       wake = true;  // shared pops free bounded-push capacity
-      return item;
+      return true;
     }
     const std::size_t n = num_lanes_.load(std::memory_order_acquire);
     for (std::size_t k = 0; k < n; ++k) {
@@ -462,37 +534,21 @@ class Channel {
       Lane& lane = lanes_[i];
       const std::uint64_t h = lane.head.load(std::memory_order_relaxed);
       if (!lane.ctrl.empty() && lane.ctrl.front().second <= h) {
-        T item = std::move(lane.ctrl.front().first);
+        sink(std::move(lane.ctrl.front().first));
         lane.ctrl.pop_front();
         lane.ctrl_mark.store(
             lane.ctrl.empty() ? kNoCtrl : lane.ctrl.front().second,
             std::memory_order_seq_cst);
         slow_count_.fetch_sub(1, std::memory_order_seq_cst);
-        return item;
+        return true;
       }
       const std::uint64_t mark =
           lane.ctrl.empty() ? kNoCtrl : lane.ctrl.front().second;
-      if (h < lane.tail.load(std::memory_order_seq_cst) && h < mark) {
-        T item = std::move(lane.ring[h & lane.mask]);
-        lane.head.store(h + 1, std::memory_order_seq_cst);
+      const std::uint64_t end =
+          std::min(lane.tail.load(std::memory_order_seq_cst), mark);
+      if (h < end) {
+        take_run(lane, h, end, limit, sink, wake);
         cursor_ = i + 1 < n ? i + 1 : 0;
-        wake = waiting_producers_.load(std::memory_order_seq_cst) != 0;
-        return item;
-      }
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] bool available_locked() const {
-    if (!shared_.empty()) return true;
-    const std::size_t n = num_lanes_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Lane& lane = lanes_[i];
-      const std::uint64_t h = lane.head.load(std::memory_order_relaxed);
-      if (!lane.ctrl.empty() && lane.ctrl.front().second <= h) return true;
-      const std::uint64_t mark =
-          lane.ctrl.empty() ? kNoCtrl : lane.ctrl.front().second;
-      if (h < lane.tail.load(std::memory_order_seq_cst) && h < mark) {
         return true;
       }
     }
@@ -522,15 +578,18 @@ class Channel {
   std::deque<T> shared_;    ///< legacy queue, guarded by mutex_
   std::size_t capacity_;    ///< bound for shared-queue push/try_push
 
-  /// Pending control + shared items; the consumer's fast path is two atomic
-  /// loads and a slot move whenever this is zero.
+  /// Pending control + shared items; the consumer takes its lock-free scan
+  /// whenever this is zero.
   std::atomic<std::size_t> slow_count_{0};
 
-  mutable std::atomic_flag gate_ = ATOMIC_FLAG_INIT;
-  std::atomic<bool> consumer_waiting_{false};
+  // The gate is written on every pop; its own cache line keeps those
+  // writes off the flags every publish reads.
+  alignas(64) mutable std::atomic_flag gate_ = ATOMIC_FLAG_INIT;
+  alignas(64) std::atomic<bool> consumer_waiting_{false};
   std::atomic<std::size_t> waiting_producers_{0};
   std::atomic<bool> closed_{false};
   std::atomic<std::size_t> high_water_{0};
+  std::atomic<std::uint64_t> producer_wakes_{0};
 };
 
 }  // namespace lar::runtime

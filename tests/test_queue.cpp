@@ -2,7 +2,9 @@
 // lanes with batched publication and watermarked control, differentially
 // against the legacy shared mutex queue — per-producer FIFO must be
 // identical between the two paths, with control messages pinned at the
-// exact data position they were pushed at.
+// exact data position they were pushed at.  Run pops must match one-item
+// pops, stop at control marks and wake parked producers at most once per
+// run; bursty publishers must never strand a parked consumer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -169,6 +171,237 @@ TEST(QueueBatch, SharedQueueServedBeforeLaneControl) {
   EXPECT_EQ(ch.pop(), 200);
   EXPECT_EQ(ch.pop(), 1);
   EXPECT_EQ(ch.pop(), 100);
+}
+
+// --- run pops ---------------------------------------------------------------
+
+TEST(QueueRun, RunStopsExactlyAtControlMarkAndAtTheBatchCap) {
+  Channel<int> ch(16);
+  const std::uint32_t lane = ch.add_lane(32);
+  ch.set_lane_batch(4);
+  for (int i = 1; i <= 6; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
+  ASSERT_TRUE(ch.push_unbounded_after(lane, -6));  // mark after item 6
+  for (int i = 7; i <= 9; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
+  ch.lane_flush(lane);
+
+  std::vector<std::vector<int>> runs;
+  std::vector<int> run;
+  while (ch.try_pop_run(run)) {
+    runs.push_back(run);
+    run.clear();
+  }
+  const std::vector<std::vector<int>> expected = {
+      {1, 2, 3, 4}, {5, 6}, {-6}, {7, 8, 9}};
+  EXPECT_EQ(runs, expected);
+}
+
+TEST(QueueRun, BatchOnePopsOneItemAtATime) {
+  Channel<int> ch(16);
+  const std::uint32_t lane = ch.add_lane(16);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
+  std::vector<int> run;
+  for (int i = 1; i <= 5; ++i) {
+    run.clear();
+    ASSERT_TRUE(ch.try_pop_run(run));
+    EXPECT_EQ(run, std::vector<int>{i});
+  }
+  run.clear();
+  EXPECT_FALSE(ch.try_pop_run(run));
+  EXPECT_TRUE(run.empty());
+}
+
+TEST(QueueRun, RunsMatchOneItemPopsPerProducer) {
+  // The same multi-producer workload consumed by runs and by one-item pops
+  // must give identical per-producer sequences; every run must be lane data
+  // from one producer, consecutive and at most lane_batch long, or a single
+  // control item.
+  constexpr int kProducers = 6;
+  constexpr std::int64_t kItems = 5000;
+  constexpr std::int64_t kCtrlEvery = 61;
+  constexpr std::size_t kBatch = 7;
+
+  const auto run = [&](bool by_runs) {
+    Channel<std::int64_t> ch(256);
+    std::vector<std::uint32_t> lanes;
+    for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(32));
+    ch.set_lane_batch(kBatch);
+    std::vector<std::thread> producers;
+    producers.reserve(kProducers);
+    std::int64_t total = 0;
+    for (int p = 0; p < kProducers; ++p) {
+      total += kItems + (kItems - 1) / kCtrlEvery + 1;
+      producers.emplace_back([&, p] {
+        const std::int64_t base = p * kStride;
+        for (std::int64_t i = 0; i < kItems; ++i) {
+          if (i != 0 && i % kCtrlEvery == 0) {
+            ASSERT_TRUE(ch.push_unbounded_after(lanes[p], -(base + i)));
+          }
+          ASSERT_TRUE(ch.lane_push(lanes[p], base + i));
+        }
+        ASSERT_TRUE(ch.push_unbounded_after(lanes[p], -(base + kItems)));
+      });
+    }
+    std::vector<std::vector<std::int64_t>> seqs(kProducers);
+    std::vector<std::int64_t> batch;
+    for (std::int64_t n = 0; n < total;) {
+      batch.clear();
+      if (by_runs) {
+        EXPECT_TRUE(ch.pop_run(batch));
+      } else if (auto v = ch.pop()) {
+        batch.push_back(*v);
+      }
+      if (batch.empty()) break;
+      EXPECT_LE(batch.size(), kBatch);
+      const std::int64_t first = batch.front();
+      const auto p =
+          static_cast<std::size_t>((first < 0 ? -first : first) / kStride);
+      if (p >= seqs.size()) {
+        ADD_FAILURE() << "item " << first << " maps to no producer";
+        break;
+      }
+      if (first < 0) {
+        EXPECT_EQ(batch.size(), 1u) << "control inside a run";
+      }
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        if (k > 0) {
+          EXPECT_EQ(batch[k], first + static_cast<std::int64_t>(k));
+        }
+        seqs[p].push_back(batch[k]);
+      }
+      n += static_cast<std::int64_t>(batch.size());
+    }
+    for (auto& t : producers) t.join();
+    return seqs;
+  };
+
+  const auto run_seqs = run(/*by_runs=*/true);
+  const auto one_seqs = run(/*by_runs=*/false);
+  check_per_producer_fifo(run_seqs);
+  check_per_producer_fifo(one_seqs);
+  EXPECT_EQ(run_seqs, one_seqs);
+}
+
+TEST(QueueRun, ParkedProducerIsWokenAtMostOncePerRun) {
+  // A producer far faster than its consumer spends the test parked on a
+  // full ring; each run frees lane_batch slots with one head store, so it
+  // may wake the producer once — never once per item.
+  constexpr int kItems = 96;
+  Channel<int> ch(4);
+  const std::uint32_t lane = ch.add_lane(8);
+  ch.set_lane_batch(4);
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
+    ch.lane_flush(lane);
+  });
+  std::vector<int> got;
+  std::uint64_t runs = 0;
+  while (got.size() < static_cast<std::size_t>(kItems)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const std::size_t before = got.size();
+    ASSERT_TRUE(ch.pop_run(got));
+    EXPECT_LE(got.size() - before, 4u);
+    ++runs;
+  }
+  producer.join();
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  const std::uint64_t wakes = ch.producer_wakes();
+  EXPECT_GE(wakes, 1u);  // the ring of 8 is full long before 96 items
+  EXPECT_LE(wakes, runs);
+}
+
+// --- lost wake-ups ------------------------------------------------------------
+
+TEST(QueueWake, BurstyProducersNeverStrandAParkedConsumer) {
+  // Producers publish short bursts separated by idle gaps, so the consumer
+  // drains, parks and is woken over and over.  Only the publisher whose
+  // exchange clears the consumer's waiting flag wakes it; a publisher that
+  // read the flag, stalled, and cleared the flag armed for a *later* park
+  // wakes a consumer with nothing to pop.  Unless the consumer re-arms
+  // before sleeping again, every later publish sees no sleeper and the
+  // items strand — caught here by a deadline instead of a hang.
+  constexpr int kProducers = 6;
+  constexpr int kMaxBursts = 40000;
+  constexpr int kBurst = 4;
+  // A normal build publishes every burst in about a second; slower
+  // (sanitizer) builds stop producing once the budget is spent.  A stranded
+  // consumer never recovers, so a stall long enough to rule out scheduling
+  // noise is the failure signal.
+  constexpr auto kBudget = std::chrono::seconds(4);
+  constexpr auto kStall = std::chrono::seconds(10);
+  Channel<std::int64_t> ch(64);
+  std::vector<std::uint32_t> lanes;
+  for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(16));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> done{0};
+  std::vector<std::int64_t> pushed(kProducers, 0);  // read once `done` is full
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::uint64_t x =
+          0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(p + 1);
+      std::int64_t& next = pushed[static_cast<std::size_t>(p)];
+      for (int b = 0; b < kMaxBursts && !stop.load(std::memory_order_relaxed);
+           ++b) {
+        for (int k = 0; k < kBurst; ++k) {
+          if (!ch.lane_push(lanes[p], p * kStride + next)) break;  // closed
+          ++next;
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        if (x % 4 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(x % 50));
+        } else {
+          for (std::uint64_t y = x % 16; y != 0; --y) std::this_thread::yield();
+        }
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  std::atomic<std::int64_t> received{0};
+  std::thread consumer([&] {
+    std::vector<std::int64_t> next(kProducers, 0);
+    std::vector<std::int64_t> run;
+    while (ch.pop_run(run)) {  // ends at close()
+      for (const std::int64_t v : run) {
+        const auto p = static_cast<std::size_t>(v / kStride);
+        EXPECT_EQ(v % kStride, next[p]++) << "producer " << p;
+      }
+      received.fetch_add(static_cast<std::int64_t>(run.size()),
+                         std::memory_order_relaxed);
+      run.clear();
+    }
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  auto progress_at = start;
+  std::int64_t got = 0;
+  bool complete = false;
+  while (!complete) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto now = std::chrono::steady_clock::now();
+    if (now - start > kBudget) stop.store(true, std::memory_order_relaxed);
+    if (const std::int64_t r = received.load(std::memory_order_relaxed);
+        r != got) {
+      got = r;
+      progress_at = now;
+    }
+    if (done.load(std::memory_order_acquire) == kProducers) {
+      std::int64_t total = 0;
+      for (const std::int64_t n : pushed) total += n;
+      complete = got == total;
+    }
+    if (now - progress_at > kStall) break;
+  }
+  EXPECT_TRUE(complete) << "consumer stranded with items published; "
+                        << got << " received";
+  stop.store(true, std::memory_order_relaxed);
+  ch.close();  // ends the consumer; releases parked producers if stranded
+  for (auto& t : producers) t.join();
+  consumer.join();
 }
 
 // --- abort / drain ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "runtime/codec.hpp"
 #include "runtime/engine.hpp"
@@ -88,6 +89,33 @@ TEST(Codec, EmptyTuple) {
   const Tuple back = decode_tuple(encode_tuple(t));
   EXPECT_TRUE(back.fields.empty());
   EXPECT_EQ(back.padding, 0u);
+}
+
+TEST(Codec, ReusedBuffersMatchFreshOnesByteForByte) {
+  // The engine's remote hop encodes into one reused wire buffer and decodes
+  // into recycled field buffers; stale bytes and stale fields must never
+  // leak into the result.
+  const std::vector<Tuple> tuples = {
+      {.fields = {7, 1ULL << 40, 0}, .padding = 512},
+      {.fields = {}, .padding = 0},
+      {.fields = {3}, .padding = 17},
+      {.fields = {1, 2, 3, 4, 5, 6}, .padding = 0},
+  };
+  for (const std::size_t stale_bytes : {0u, 8u, 40u, 4096u}) {
+    for (const Tuple& t : tuples) {
+      const std::vector<std::byte> fresh = encode_tuple(t);
+      std::vector<std::byte> wire(stale_bytes, std::byte{0xAB});
+      encode_tuple_into(t, wire);
+      EXPECT_EQ(wire, fresh) << "stale buffer of " << stale_bytes << " bytes";
+
+      const Tuple fresh_tuple = decode_tuple(fresh);
+      Tuple reused{.fields = std::vector<Key>(32, 0xDEADBEEFULL),
+                   .padding = 999};
+      decode_tuple_into(fresh, reused);
+      EXPECT_EQ(reused.fields, fresh_tuple.fields);
+      EXPECT_EQ(reused.padding, fresh_tuple.padding);
+    }
+  }
 }
 
 // --- engine fixtures -------------------------------------------------------------
