@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh            # configure + build (zero warnings), full
 #                               # ctest, TSan obs+chaos+elastic+ckpt+queue+
-#                               # split+fleet, ASan ckpt+queue+split+fleet,
+#                               # split+fleet+runtime, ASan ckpt+queue+split+
+#                               # fleet+runtime,
 #                               # perf smoke, runtime throughput floor +
 #                               # batch equivalence, obs v2 byte-identity,
 #                               # elasticity + checkpoint + split + fleet
@@ -32,15 +33,15 @@ ctest --test-dir build -j "$(nproc)" --output-on-failure
 log "split label (degree selection, split routing, exactly-once merge)"
 ctest --test-dir build -L split --output-on-failure
 
-log "ThreadSanitizer: obs + chaos + elastic + ckpt + queue + split + fleet (registry, wave, injector, scale, recovery, lane, replica, staggered-wave races)"
+log "ThreadSanitizer: obs + chaos + elastic + ckpt + queue + split + fleet + runtime (registry, wave, injector, scale, recovery, lane, replica, staggered-wave, flush-count races)"
 cmake -B build-tsan -G Ninja -DLAR_SANITIZE=thread >/dev/null
 cmake --build build-tsan >/dev/null
-ctest --test-dir build-tsan -L 'obs|chaos|elastic|ckpt|queue|split|fleet' --output-on-failure
+ctest --test-dir build-tsan -L 'obs|chaos|elastic|ckpt|queue|split|fleet|runtime' --output-on-failure
 
-log "AddressSanitizer+UBSan: ckpt + queue + split + fleet (crash recovery frees/respawns state under load; lane slot reuse; replica partials; tenant slices)"
+log "AddressSanitizer+UBSan: ckpt + queue + split + fleet + runtime (crash recovery frees/respawns state under load; lane slot reuse; boxed control messages; replica partials; tenant slices)"
 cmake -B build-asan -G Ninja -DLAR_SANITIZE=address >/dev/null
 cmake --build build-asan >/dev/null
-ctest --test-dir build-asan -L 'ckpt|queue|split|fleet' --output-on-failure
+ctest --test-dir build-asan -L 'ckpt|queue|split|fleet|runtime' --output-on-failure
 
 log "perf smoke (devirtualized-routing + channel hand-off differential checks)"
 ./build/bench/micro_hotpath --ops 20000 >/dev/null

@@ -15,7 +15,10 @@ void encode_tuple_into(const Tuple& tuple, std::vector<std::byte>& out) {
   std::uint64_t padding = tuple.padding;
   std::memcpy(out.data(), &nfields, 8);
   std::memcpy(out.data() + 8, &padding, 8);
-  std::memcpy(out.data() + kHeader, tuple.fields.data(), field_bytes);
+  // An empty field vector may have a null data(), which memcpy must not see.
+  if (field_bytes != 0) {
+    std::memcpy(out.data() + kHeader, tuple.fields.data(), field_bytes);
+  }
   // The payload content does not matter, its copy cost does: zero it
   // explicitly, because a reused buffer still holds the previous tuple.
   std::memset(out.data() + kHeader + field_bytes, 0, tuple.padding);
@@ -30,8 +33,10 @@ void decode_tuple_into(std::span<const std::byte> bytes, Tuple& out) {
   LAR_CHECK(bytes.size() >= kHeader + nfields * sizeof(Key));
   out.padding = static_cast<std::uint32_t>(padding);
   out.fields.resize(nfields);
-  std::memcpy(out.fields.data(), bytes.data() + kHeader,
-              nfields * sizeof(Key));
+  if (nfields != 0) {
+    std::memcpy(out.fields.data(), bytes.data() + kHeader,
+                nfields * sizeof(Key));
+  }
 }
 
 std::vector<std::byte> encode_tuple(const Tuple& tuple) {

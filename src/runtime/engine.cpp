@@ -26,6 +26,21 @@ namespace {
   return std::to_string(from) + "->" + std::to_string(to);
 }
 
+/// Single-writer increment: only the counter's owning thread writes it, so
+/// a load and a store replace the locked read-modify-write.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n,
+          std::memory_order order = std::memory_order_relaxed) {
+  counter.store(counter.load(std::memory_order_relaxed) + n, order);
+}
+
+/// Slot of producer link `link` in a POI's last_seq: a producer POI's flat
+/// index, or for the injector (BarrierMsg::kCoordinator) the slot past the
+/// last POI, so ascending slots keep the links' ascending order.
+[[nodiscard]] std::size_t link_slot(std::uint64_t link,
+                                    std::size_t num_pois) noexcept {
+  return link == BarrierMsg::kCoordinator ? num_pois : link;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -93,7 +108,22 @@ struct Engine::Poi {
   std::vector<Message> run;
   std::vector<std::byte> wire;
 
+  // --- per-POI counters: written only by this POI's thread, with plain
+  // load + store (see bump), on cache lines no other POI thread writes. -----
+  /// Quiescence (DESIGN.md §13): data tuples this POI pushed, counted before
+  /// the push can publish them, and data tuples it finished — processed or
+  /// dropped as a duplicate — counted once fully processed.
+  alignas(64) std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> processed{0};
+
+  /// Traffic this POI sent per out edge ([out_pos]); one line per edge.
+  struct alignas(64) EdgeTraffic {
+    std::atomic<std::uint64_t> local{0};
+    std::atomic<std::uint64_t> remote{0};
+    std::atomic<std::uint64_t> remote_bytes{0};
+  };
+  std::vector<EdgeTraffic> traffic;
 
   // --- reconfiguration state, touched only by the POI thread --------------
   std::optional<ReconfMsg> staged;
@@ -108,9 +138,16 @@ struct Engine::Poi {
 
   // --- chaos state ---------------------------------------------------------
   // out_seq is written by this POI's thread when sending; the rest only by
-  // this POI's thread when receiving.  All empty/idle without an injector.
-  FlatMap<std::uint64_t, std::uint64_t> out_seq;  ///< target flat -> last seq
-  FlatMap<std::uint64_t, std::uint64_t> last_seq; ///< producer flat -> seen
+  // this POI's thread when receiving.  All empty/idle without an injector
+  // or a checkpoint coordinator; the sequence cursors are then dense.
+  /// A producer link's dedup cursor.  `seen` keeps a link whose cursor is
+  /// still 0 (a replay that held nothing) in snapshots.
+  struct LinkCursor {
+    std::uint64_t seq = 0;
+    bool seen = false;
+  };
+  std::vector<std::uint64_t> out_seq;  ///< [target flat] last seq, 0 = none
+  std::vector<LinkCursor> last_seq;    ///< [link_slot(producer)]
   std::unordered_map<std::uint32_t, std::vector<DataMsg>>
       delayed;  ///< producer flat -> held link suffix (FIFO within the link)
 
@@ -141,10 +178,10 @@ struct Engine::Poi {
   std::unordered_set<std::uint32_t> blocked_links;  ///< barrier already in
   std::unordered_map<std::uint32_t, std::vector<DataMsg>>
       align_stash;  ///< post-barrier suffix held per blocked link (FIFO)
-  std::unordered_map<std::uint64_t, std::vector<DataMsg>>
-      replay_out;  ///< target flat -> sends since the last committed epoch
-  std::unordered_map<std::uint64_t, std::uint64_t>
-      snap_out;  ///< out cursors at the last snapshot (commit truncation)
+  /// [target flat] sends since the last committed epoch.
+  std::vector<std::vector<DataMsg>> replay_out;
+  /// [target flat] out cursors at the last snapshot (commit truncation).
+  std::vector<std::uint64_t> snap_out;
   std::unordered_set<std::uint32_t> replay_pending;  ///< links mid-replay
   std::unordered_map<std::uint32_t, std::vector<DataMsg>>
       replay_stash;  ///< everything held on a pending link until ReplayEnd
@@ -166,8 +203,7 @@ Engine::Engine(const Topology& topology, const Placement& placement,
       placement_(placement),
       options_(options),
       factory_(std::move(factory)),
-      manager_inbox_(1 << 16),
-      edge_counters_(topology.edges().size()) {
+      manager_inbox_(1 << 16) {
   LAR_CHECK(topology.validate().is_ok());
   LAR_CHECK(factory_ != nullptr);
 
@@ -223,6 +259,7 @@ Engine::Engine(const Topology& topology, const Placement& placement,
       const auto& out = topology.out_edges(op);
       poi.routers.reserve(out.size());
       poi.pair_stats.reserve(out.size());
+      poi.traffic = std::vector<Poi::EdgeTraffic>(out.size());
       for (const std::uint32_t eid : out) {
         const EdgeSpec& edge = topology.edges()[eid];
         std::shared_ptr<const RoutingTable> initial;
@@ -308,6 +345,16 @@ Engine::Engine(const Topology& topology, const Placement& placement,
   set_inject_actives(active_servers_);
 
   ckpt_enabled_ = options_.checkpoint != nullptr;
+  if (options_.injector != nullptr || ckpt_enabled_) {
+    for (auto& poi : pois_) {
+      poi->out_seq.assign(pois_.size(), 0);
+      poi->last_seq.assign(pois_.size() + 1, {});
+      if (ckpt_enabled_) {
+        poi->replay_out.resize(pois_.size());
+        poi->snap_out.assign(pois_.size(), 0);
+      }
+    }
+  }
   if (ckpt_enabled_) {
     inject_out_seq_.assign(pois_.size(), 0);
     inject_replay_.resize(pois_.size());
@@ -446,8 +493,7 @@ void Engine::restore_from_store() {
       ++restored;
       restored_bytes += state.size();
     }
-    for (const auto& [link, seq] : pc.in_cursors) poi.last_seq[link] = seq;
-    for (const auto& [tgt, seq] : pc.out_cursors) poi.out_seq[tgt] = seq;
+    restore_cursors(poi, pc);
     poi.applied_version = pc.table_version;
     poi.dirty.clear();
   }
@@ -559,11 +605,11 @@ void Engine::inject_push_locked(OperatorId src, InstanceIndex instance,
     dm.seq = ++inject_out_seq_[target.flat];
     inject_replay_[target.flat].push_back(dm);
     tuples_injected_.fetch_add(1, std::memory_order_relaxed);
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    driver_sent_.fetch_add(1, std::memory_order_release);
     target.inbox.lane_push(lane, Message{DataMsg{std::move(dm)}});
   } else {
     tuples_injected_.fetch_add(1, std::memory_order_relaxed);
-    in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    driver_sent_.fetch_add(1, std::memory_order_release);
     target.inbox.lane_push(
         lane, Message{DataMsg{std::move(tuple), DataMsg::kInjected}});
   }
@@ -598,30 +644,67 @@ void Engine::inject_app(fleet::AppId app, Tuple tuple) {
 }
 
 void Engine::flush() {
-  std::uint64_t v = in_flight_.load(std::memory_order_acquire);
-  while (v != 0) {
-    in_flight_.wait(v, std::memory_order_acquire);
-    v = in_flight_.load(std::memory_order_acquire);
+  // Register before the first scan: a POI that goes idle after its last done
+  // store either sees this registration and wakes us, or every later scan
+  // sees that store (a Dekker pair with wake_flushers, over seq_cst
+  // operations only).
+  flush_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  for (;;) {
+    const std::uint32_t wake = flush_wake_.load(std::memory_order_acquire);
+    if (quiescent()) break;
+    flush_wake_.wait(wake, std::memory_order_acquire);
   }
+  flush_waiters_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+bool Engine::quiescent() const {
+  // Every done first, then every sent.  A done counted here implies its send
+  // was counted before it, and a tuple still in flight has its send counted
+  // but not its done — so equal sums mean nothing is in flight.  Reading
+  // sent first would let a tuple sent and finished between the two scans
+  // balance an earlier one still in flight.  The done loads are seq_cst:
+  // they are the flusher's half of the pair in wake_flushers.
+  std::uint64_t done = driver_done_.load(std::memory_order_seq_cst);
+  for (const auto& poi : pois_) {
+    done += poi->done.load(std::memory_order_seq_cst);
+  }
+  std::uint64_t sent = driver_sent_.load(std::memory_order_acquire);
+  for (const auto& poi : pois_) {
+    sent += poi->sent.load(std::memory_order_acquire);
+  }
+  return done == sent;
+}
+
+void Engine::wake_flushers(std::atomic<std::uint64_t>& done) {
+  // The idle thread's half of the pair: a seq_cst read-modify-write of its
+  // own done counter orders every done store before the registration check.
+  // No other thread writes that counter, so this costs a fence, not a
+  // contended line.
+  done.fetch_add(0, std::memory_order_seq_cst);
+  if (flush_waiters_.load(std::memory_order_seq_cst) == 0) return;
+  flush_wake_.fetch_add(1, std::memory_order_release);
+  flush_wake_.notify_all();
 }
 
 void Engine::poi_loop(Poi& poi) {
   chaos::Injector* const inj = options_.injector;
-  auto flush_out = [&poi] {
+  // About to go idle or exit: publish every staged outbound batch first, or
+  // a downstream POI could wait forever on tuples already emitted here, then
+  // wake a waiting flush() (no hop does; see wake_flushers).
+  auto go_idle = [this, &poi] {
     for (const Poi::OutLane& ol : poi.flush_lanes) {
       ol.target->inbox.lane_flush(ol.lane);
     }
+    wake_flushers(poi.done);
   };
   std::vector<Message>& run = poi.run;
   for (;;) {
     run.clear();
     if (!poi.inbox.try_pop_run(run)) {
-      // About to go idle: publish every staged outbound batch first, or a
-      // downstream POI could wait forever on tuples already emitted here.
       // Flushing only on the empty-inbox edge (not per message) is what
       // lets batches form while the POI is busy; the per-lane batch bound
       // caps how long a tuple can stay staged meanwhile.
-      flush_out();
+      go_idle();
       if (!poi.inbox.pop_run(run)) return;
     }
     // A run is either one control message or lane data only, and all of it
@@ -631,7 +714,7 @@ void Engine::poi_loop(Poi& poi) {
       if (std::holds_alternative<ShutdownMsg>(msg)) {
         // Same rule on exit: a retired POI's staged batch would otherwise be
         // stranded with it while its targets live on.
-        flush_out();
+        go_idle();
         return;
       }
       // A crash sentinel kills the POI where it stands: messages queued
@@ -639,6 +722,7 @@ void Engine::poi_loop(Poi& poi) {
       // their effects come back via checkpoint restore + sender replay).
       if (std::holds_alternative<CrashMsg>(msg)) {
         poi.crash_exited.store(true, std::memory_order_release);
+        wake_flushers(poi.done);
         return;
       }
       if (inj != nullptr &&
@@ -674,9 +758,9 @@ void Engine::dispatch(Poi& poi, Message&& msg) {
         } else if constexpr (std::is_same_v<T, GetMetricsMsg>) {
           flush_all_delayed(poi);
           send_metrics(poi);
-        } else if constexpr (std::is_same_v<T, ReconfMsg>) {
+        } else if constexpr (std::is_same_v<T, std::unique_ptr<ReconfMsg>>) {
           flush_all_delayed(poi);
-          handle_reconf(poi, std::move(m));
+          handle_reconf(poi, std::move(*m));
         } else if constexpr (std::is_same_v<T, PropagateMsg>) {
           flush_all_delayed(poi);
           handle_propagate(poi, m);
@@ -707,28 +791,30 @@ void Engine::handle_data(Poi& poi, DataMsg msg) {
     // A link mid-replay holds *everything* — live stragglers may arrive
     // before the replayed copies, so nothing is applied (and no dedup
     // cursor advanced) until ReplayEnd sorts the union by sequence number.
-    if (ckpt_enabled_ && poi.replay_pending.contains(from)) {
+    if (ckpt_enabled_ && !poi.replay_pending.empty() &&
+        poi.replay_pending.contains(from)) {
       poi.replay_stash[from].push_back(std::move(msg));
       return;
     }
     // Dedup before anything else: an injected duplicate (or a recovered
     // sender's regenerated emission) is dropped even if its link is
     // currently held in a stash.
-    std::uint64_t& seen = poi.last_seq[from];
-    if (msg.seq <= seen) {
+    Poi::LinkCursor& seen = poi.last_seq[link_slot(from, pois_.size())];
+    if (msg.seq <= seen.seq) {
       data_dups_dropped_.fetch_add(1, std::memory_order_relaxed);
       if (inj != nullptr) {
         inj->recovery("channel_dedup", link_entity_str(from, poi.flat));
       }
-      drop_data_in_flight(1);
+      bump(poi.done, 1, std::memory_order_release);
       return;
     }
-    seen = msg.seq;
+    seen = {msg.seq, true};
     // A link whose barrier is in while a sibling's is pending stashes its
     // whole post-barrier suffix until alignment completes (the consistent
     // cut).  Checked before the chaos delay so a blocked link never
     // re-enters the delay stash mid-alignment.
-    if (ckpt_enabled_ && poi.blocked_links.contains(from)) {
+    if (ckpt_enabled_ && !poi.blocked_links.empty() &&
+        poi.blocked_links.contains(from)) {
       poi.align_stash[from].push_back(std::move(msg));
       return;
     }
@@ -778,9 +864,7 @@ void Engine::deliver_data(Poi& poi, DataMsg msg) {
   }
   process_tuple(poi, msg.tuple, in_key);
   poi.arena_release(std::move(msg.tuple.fields));
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    in_flight_.notify_all();
-  }
+  bump(poi.done, 1, std::memory_order_release);
 }
 
 void Engine::buffer_tuple(Poi& poi, Key in_key, DataMsg msg) {
@@ -826,7 +910,7 @@ void Engine::flush_all_delayed(Poi& poi) {
 }
 
 void Engine::process_tuple(Poi& poi, const Tuple& tuple, Key in_key) {
-  poi.processed.fetch_add(1, std::memory_order_relaxed);
+  bump(poi.processed, 1);
   // Incremental checkpointing: the routing key is the state key for every
   // delta-capable POI (all-fields inputs), so marking it here covers every
   // state mutation process() can make.  delta_capable is only ever set when
@@ -877,7 +961,7 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
   const InstanceIndex dst = poi.routers[out_pos]->route(tuple);
   const Poi::OutLane& ol = poi.out_lanes[out_pos][dst];
   Poi& target = *ol.target;
-  EdgeCounters& counters = edge_counters_[eid];
+  Poi::EdgeTraffic& traffic = poi.traffic[out_pos];
 
   // The receiver's anchor: a fields hop re-anchors at its own key, anything
   // else forwards the sender's.
@@ -885,10 +969,11 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
                          ? tuple.fields[edge.key_field]
                          : in_key;
 
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
+  // Counted before the push can publish the tuple (DESIGN.md §13).
+  bump(poi.sent, 1, std::memory_order_release);
   DataMsg out{Tuple{}, eid, anchor};
   if (target.server == poi.server) {
-    counters.local.fetch_add(1, std::memory_order_relaxed);
+    bump(traffic.local, 1);
     if (owned != nullptr) {
       // Same-server hop of storage the operator gave up: the hand-off is a
       // pointer move into the co-located POI's lane — the paper's "address
@@ -906,10 +991,9 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
     // The network path: every wire byte is written (padding zeroed) into
     // this POI's reused buffer, so the modeled copy cost stays while the
     // allocation goes; the receiver's copy lands in a recycled buffer.
-    counters.remote.fetch_add(1, std::memory_order_relaxed);
+    bump(traffic.remote, 1);
     encode_tuple_into(tuple, poi.wire);
-    counters.remote_bytes.fetch_add(poi.wire.size(),
-                                    std::memory_order_relaxed);
+    bump(traffic.remote_bytes, poi.wire.size());
     out.tuple.fields = poi.arena_acquire();
     decode_tuple_into(poi.wire, out.tuple);
   }
@@ -928,7 +1012,7 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
         inj->fire(chaos::FaultSite::kChannelDuplicate,
                   link_entity(out.from, target.flat))) {
       // Same seq on both copies: whichever arrives second is deduped.
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
+      bump(poi.sent, 1, std::memory_order_release);
       target.inbox.lane_push(ol.lane, Message{DataMsg{out}});
     }
   }
@@ -1184,18 +1268,14 @@ void Engine::handle_migrate(Poi& poi, MigrateMsg msg) {
     for (DataMsg& dm : buffered) {
       process_tuple(poi, dm.tuple, msg.key);
       poi.arena_release(std::move(dm.tuple.fields));
-      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        in_flight_.notify_all();
-      }
+      bump(poi.done, 1, std::memory_order_release);
     }
     for (const std::vector<std::byte>& wire : spilled) {
       Tuple tuple{poi.arena_acquire(), 0};
       decode_tuple_into(wire, tuple);
       process_tuple(poi, tuple, msg.key);
       poi.arena_release(std::move(tuple.fields));
-      if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        in_flight_.notify_all();
-      }
+      bump(poi.done, 1, std::memory_order_release);
     }
   }
   maybe_finish_reconfig(poi);
@@ -1526,7 +1606,8 @@ core::ReconfigurationPlan Engine::run_protocol(
         if (mv.to == poi->index) msg.receive.emplace_back(mv.key, mv.from);
       }
     }
-    poi->inbox.push_unbounded(Message{std::move(msg)});
+    poi->inbox.push_unbounded(
+        Message{std::make_unique<ReconfMsg>(std::move(msg))});
   }
   for (std::size_t i = 0; i < wave_size; ++i) {
     auto reply = manager_inbox_.pop();
@@ -1618,11 +1699,9 @@ void Engine::drain_fence() {
 std::pair<double, double> Engine::measured_locality_balance() const {
   std::uint64_t local = 0;
   std::uint64_t total = 0;
-  for (const auto& c : edge_counters_) {
-    const std::uint64_t l = c.local.load(std::memory_order_relaxed);
-    const std::uint64_t r = c.remote.load(std::memory_order_relaxed);
-    local += l;
-    total += l + r;
+  for (const EdgeMetricsSnapshot& e : edge_totals()) {
+    local += e.local;
+    total += e.local + e.remote;
   }
   const double locality =
       total == 0 ? 0.0
@@ -1764,9 +1843,8 @@ core::ReconfigurationPlan Engine::retire_servers(core::Manager& manager,
 
 void Engine::drop_data_in_flight(std::size_t n) {
   if (n == 0) return;
-  if (in_flight_.fetch_sub(n, std::memory_order_acq_rel) == n) {
-    in_flight_.notify_all();
-  }
+  driver_done_.fetch_add(n, std::memory_order_release);
+  wake_flushers(driver_done_);
 }
 
 std::uint64_t Engine::checkpoint() {
@@ -1939,6 +2017,18 @@ void Engine::handle_barrier(Poi& poi, const BarrierMsg& msg) {
   poi.align_stash.clear();
 }
 
+void Engine::restore_cursors(Poi& poi, const ckpt::PoiCheckpoint& pc) {
+  for (const auto& [link, seq] : pc.in_cursors) {
+    const std::size_t slot = link_slot(link, pois_.size());
+    LAR_CHECK(slot < poi.last_seq.size());
+    poi.last_seq[slot] = {seq, true};
+  }
+  for (const auto& [target, seq] : pc.out_cursors) {
+    LAR_CHECK(target < poi.out_seq.size());
+    poi.out_seq[target] = seq;
+  }
+}
+
 void Engine::take_snapshot(Poi& poi, const BarrierMsg& msg) {
   ckpt::PoiCheckpoint pc;
   pc.op = poi.op;
@@ -1959,24 +2049,29 @@ void Engine::take_snapshot(Poi& poi, const BarrierMsg& msg) {
     pc.states.emplace_back(key, poi.logic->export_key_state(key));
   }
   if (poi.delta_capable) poi.dirty.clear();
-  for (const auto& item : poi.last_seq.sorted_items()) {
+  for (std::size_t slot = 0; slot < poi.last_seq.size(); ++slot) {
+    if (!poi.last_seq[slot].seen) continue;
+    const std::uint32_t link = slot == pois_.size()
+                                   ? BarrierMsg::kCoordinator
+                                   : static_cast<std::uint32_t>(slot);
     // The dedup cursor advances when a tuple is *stashed*, not when it is
     // applied — so a link blocked mid-alignment may have post-barrier
     // tuples inside last_seq whose effects are not in this snapshot.  The
     // cut cursor is the last APPLIED sequence number: one before the first
     // held tuple (per-link seqs are consecutive).
-    std::uint64_t cursor = item.value;
-    if (const auto held = poi.align_stash.find(item.key);
+    std::uint64_t cursor = poi.last_seq[slot].seq;
+    if (const auto held = poi.align_stash.find(link);
         held != poi.align_stash.end() && !held->second.empty()) {
       cursor = held->second.front().seq - 1;
     }
-    pc.in_cursors.emplace_back(item.key, cursor);
+    pc.in_cursors.emplace_back(link, cursor);
   }
-  poi.snap_out.clear();
-  for (const auto& item : poi.out_seq.sorted_items()) {
-    pc.out_cursors.emplace_back(item.key, item.value);
-    poi.snap_out[item.key] = item.value;
+  for (std::size_t target = 0; target < poi.out_seq.size(); ++target) {
+    if (poi.out_seq[target] != 0) {
+      pc.out_cursors.emplace_back(target, poi.out_seq[target]);
+    }
   }
+  poi.snap_out = poi.out_seq;
   options_.checkpoint->store().add(msg.epoch, std::move(pc));
 }
 
@@ -1984,11 +2079,9 @@ void Engine::handle_commit(Poi& poi, const CheckpointCommitMsg& /*msg*/) {
   // Truncate each replay buffer at the watermark recorded by this epoch's
   // snapshot.  Buffers are seq-ascending per target, so the cut is a prefix
   // erase; entries appended since the snapshot survive.
-  for (auto& [target, buf] : poi.replay_out) {
-    std::uint64_t cut = 0;
-    if (auto it = poi.snap_out.find(target); it != poi.snap_out.end()) {
-      cut = it->second;
-    }
+  for (std::size_t target = 0; target < poi.replay_out.size(); ++target) {
+    std::vector<DataMsg>& buf = poi.replay_out[target];
+    const std::uint64_t cut = poi.snap_out[target];
     const auto keep =
         std::find_if(buf.begin(), buf.end(),
                      [cut](const DataMsg& m) { return m.seq > cut; });
@@ -2000,12 +2093,10 @@ void Engine::handle_replay_request(Poi& poi, const ReplayRequestMsg& msg) {
   Poi& target = *pois_[msg.target];
   const std::uint32_t lane = *poi.lane_to.find(msg.target);
   std::uint64_t replayed = 0;
-  if (auto it = poi.replay_out.find(msg.target); it != poi.replay_out.end()) {
-    for (const DataMsg& dm : it->second) {
-      in_flight_.fetch_add(1, std::memory_order_acq_rel);
-      target.inbox.lane_push(lane, Message{DataMsg{dm}});
-      ++replayed;
-    }
+  for (const DataMsg& dm : poi.replay_out[msg.target]) {
+    bump(poi.sent, 1, std::memory_order_release);
+    target.inbox.lane_push(lane, Message{DataMsg{dm}});
+    ++replayed;
   }
   tuples_replayed_.fetch_add(replayed, std::memory_order_relaxed);
   // The end marker travels the same lane, so it arrives after both the
@@ -2027,13 +2118,14 @@ void Engine::handle_replay_end(Poi& poi, const ReplayEndMsg& msg) {
   // exactly once past the restored cursor.
   std::sort(held.begin(), held.end(),
             [](const DataMsg& a, const DataMsg& b) { return a.seq < b.seq; });
-  std::uint64_t& seen = poi.last_seq[msg.link];
+  Poi::LinkCursor& seen = poi.last_seq[link_slot(msg.link, pois_.size())];
+  seen.seen = true;
   for (DataMsg& dm : held) {
-    if (dm.seq <= seen) {
-      drop_data_in_flight(1);
+    if (dm.seq <= seen.seq) {
+      bump(poi.done, 1, std::memory_order_release);
       continue;
     }
-    seen = dm.seq;
+    seen.seq = dm.seq;
     deliver_data(poi, std::move(dm));
   }
   if (poi.replay_pending.empty()) {
@@ -2159,7 +2251,7 @@ void Engine::crash_and_recover(std::uint32_t server) {
   }
   // Reap each victim's staged-but-unpublished lane batches now that its
   // thread is joined (lane_abort_staged's contract).  Every staged item is
-  // a DataMsg counted in in_flight_, and every victim's successors are
+  // a DataMsg already counted sent, and every victim's successors are
   // victims themselves (the rollback region is downstream-closed), so
   // nothing outside the region loses data.  Surviving producers' staged
   // batches toward victims publish later and are absorbed by the replay
@@ -2205,10 +2297,10 @@ void Engine::crash_and_recover(std::uint32_t server) {
     p->barrier_members.reset();
     p->blocked_links.clear();
     p->replay_pending.clear();
-    p->replay_out.clear();
-    p->snap_out.clear();
-    p->last_seq.clear();
-    p->out_seq.clear();
+    for (std::vector<DataMsg>& buf : p->replay_out) buf.clear();
+    p->snap_out.assign(pois_.size(), 0);
+    p->last_seq.assign(pois_.size() + 1, {});
+    p->out_seq.assign(pois_.size(), 0);
     // The pre-crash dirty set is scheduling-dependent (how far the thread
     // ran past the cut before dying); replay deterministically re-marks
     // exactly the post-cut effects, so recovery starts it clean.
@@ -2231,8 +2323,7 @@ void Engine::crash_and_recover(std::uint32_t server) {
       ++restored;
       restored_bytes += state.size();
     }
-    for (const auto& [link, seq] : pc.in_cursors) p->last_seq[link] = seq;
-    for (const auto& [tgt, seq] : pc.out_cursors) p->out_seq[tgt] = seq;
+    restore_cursors(*p, pc);
 
     // 5) Arm replay on every producer link *outside* the region (a
     // rolled-back producer instead regenerates in order from its own
@@ -2290,7 +2381,7 @@ void Engine::crash_and_recover(std::uint32_t server) {
       const std::vector<DataMsg>& log = inject_replay_[p->flat];
       tuples_replayed_.fetch_add(log.size(), std::memory_order_relaxed);
       for (const DataMsg& dm : log) {
-        in_flight_.fetch_add(1, std::memory_order_acq_rel);
+        driver_sent_.fetch_add(1, std::memory_order_release);
         p->inbox.lane_push(inject_lane_[p->flat], Message{DataMsg{dm}});
       }
       p->inbox.push_unbounded_after(
@@ -2333,6 +2424,21 @@ std::optional<std::uint32_t> Engine::maybe_crash() {
 // Metrics.
 // ---------------------------------------------------------------------------
 
+std::vector<EdgeMetricsSnapshot> Engine::edge_totals() const {
+  std::vector<EdgeMetricsSnapshot> edges(topology_.edges().size());
+  for (const auto& poi : pois_) {
+    const auto& out = topology_.out_edges(poi->op);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const Poi::EdgeTraffic& t = poi->traffic[k];
+      EdgeMetricsSnapshot& e = edges[out[k]];
+      e.local += t.local.load(std::memory_order_relaxed);
+      e.remote += t.remote.load(std::memory_order_relaxed);
+      e.remote_bytes += t.remote_bytes.load(std::memory_order_relaxed);
+    }
+  }
+  return edges;
+}
+
 EngineMetrics Engine::metrics() const {
   EngineMetrics out;
   out.tuples_injected = tuples_injected_.load(std::memory_order_relaxed);
@@ -2369,13 +2475,7 @@ EngineMetrics Engine::metrics() const {
   out.tuples_replayed = tuples_replayed_.load(std::memory_order_relaxed);
   out.tuples_lost_at_crash =
       tuples_lost_at_crash_.load(std::memory_order_relaxed);
-  out.edges.reserve(edge_counters_.size());
-  for (const auto& c : edge_counters_) {
-    out.edges.push_back(EdgeMetricsSnapshot{
-        c.local.load(std::memory_order_relaxed),
-        c.remote.load(std::memory_order_relaxed),
-        c.remote_bytes.load(std::memory_order_relaxed)});
-  }
+  out.edges = edge_totals();
   out.instance_processed.resize(topology_.num_operators());
   for (const auto& poi : pois_) {
     auto& per_op = out.instance_processed[poi->op];
@@ -2494,7 +2594,8 @@ void Engine::publish_metrics() {
     }
   }
 
-  for (std::size_t eid = 0; eid < edge_counters_.size(); ++eid) {
+  const std::vector<EdgeMetricsSnapshot> edges = edge_totals();
+  for (std::size_t eid = 0; eid < edges.size(); ++eid) {
     const EdgeSpec& edge = topology_.edges()[eid];
     const std::string name =
         topology_.op(edge.from).name + "->" + topology_.op(edge.to).name;
@@ -2503,9 +2604,8 @@ void Engine::publish_metrics() {
       edge_labels.push_back(
           {"app", fleet_->app(fleet_->app_of(edge.from)).name});
     }
-    const EdgeCounters& c = edge_counters_[eid];
-    const std::uint64_t local = c.local.load(std::memory_order_relaxed);
-    const std::uint64_t remote = c.remote.load(std::memory_order_relaxed);
+    const std::uint64_t local = edges[eid].local;
+    const std::uint64_t remote = edges[eid].remote;
     obs::Labels local_labels = edge_labels;
     local_labels.push_back({"path", "local"});
     reg->counter("lar_edge_tuples_total", std::move(local_labels),
@@ -2518,7 +2618,7 @@ void Engine::publish_metrics() {
         .advance_to(remote);
     reg->counter("lar_edge_remote_bytes_total", edge_labels,
                  "Serialized bytes for cross-server hops of an edge.")
-        .advance_to(c.remote_bytes.load(std::memory_order_relaxed));
+        .advance_to(edges[eid].remote_bytes);
     if (local + remote > 0) {
       reg->gauge("lar_edge_locality_ratio", edge_labels,
                  "Fraction of an edge's tuples delivered server-locally "

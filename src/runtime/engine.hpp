@@ -77,9 +77,10 @@ struct EngineOptions {
 
   /// Observability sinks (may be null = the no-op disabled mode; both must
   /// outlive the engine).  The per-tuple data path stays registry-free
-  /// either way: counters are engine-owned atomics that publish_metrics()
-  /// copies into `registry`, and `trace` only sees reconfiguration-protocol
-  /// steps (ack, propagate hop, migration, buffer/drain — see obs/trace.hpp).
+  /// either way: counters are engine-owned per-POI atomics that
+  /// publish_metrics() copies into `registry`, and `trace` only sees
+  /// reconfiguration-protocol steps (ack, propagate hop, migration,
+  /// buffer/drain — see obs/trace.hpp).
   obs::Registry* registry = nullptr;
   obs::TraceRecorder* trace = nullptr;
 
@@ -404,10 +405,24 @@ class Engine {
   void handle_migrate(Poi& poi, MigrateMsg msg);
   void handle_barrier(Poi& poi, const BarrierMsg& msg);
   void take_snapshot(Poi& poi, const BarrierMsg& msg);
+  /// Sets `poi`'s dedup and sequence cursors from a checkpoint slice.
+  void restore_cursors(Poi& poi, const ckpt::PoiCheckpoint& pc);
   void handle_commit(Poi& poi, const CheckpointCommitMsg& msg);
   void handle_replay_request(Poi& poi, const ReplayRequestMsg& msg);
   void handle_replay_end(Poi& poi, const ReplayEndMsg& msg);
+
+  /// Counts `n` data tuples the driver discarded (crash sweeps) as done.
   void drop_data_in_flight(std::size_t n);
+
+  /// True when every data tuple counted sent has been counted done: sums
+  /// every done counter, then every sent counter (DESIGN.md §13).
+  [[nodiscard]] bool quiescent() const;
+
+  /// Idle-wake rule: a POI about to park or exit (and the driver after a
+  /// crash sweep) orders its `done` counter's stores before the check, then
+  /// wakes flush() only if one is waiting.
+  void wake_flushers(std::atomic<std::uint64_t>& done);
+
   void run_reconfig_actions(Poi& poi);
   void maybe_finish_reconfig(Poi& poi);
   void send_metrics(Poi& poi);
@@ -460,6 +475,9 @@ class Engine {
 
   [[nodiscard]] std::pair<double, double> measured_locality_balance() const;
 
+  /// Per-edge traffic, summed over the POIs that send on each edge.
+  [[nodiscard]] std::vector<EdgeMetricsSnapshot> edge_totals() const;
+
   /// Routes `tuple` over edge at out-position `out_pos` from `poi`,
   /// serializing if cross-server; `in_key` is the emitting tuple's anchor
   /// key, forwarded to the receiver on non-fields edges.  `owned` (null
@@ -483,9 +501,12 @@ class Engine {
 
   Channel<ManagerReply> manager_inbox_;
 
-  // Quiescence tracking: +1 per enqueued data tuple (including injected and
-  // buffered ones), -1 once fully processed.
-  std::atomic<std::uint64_t> in_flight_{0};
+  // Quiescence (DESIGN.md §13): each POI counts the data tuples it sends
+  // and finishes on its own cache line; these are the driver-side pair, for
+  // tuples the driver pushes (inject, inject-log replay) or discards (crash
+  // sweeps).  flush() waits for equal sums.
+  std::atomic<std::uint64_t> driver_sent_{0};
+  std::atomic<std::uint64_t> driver_done_{0};
   std::atomic<std::uint64_t> tuples_injected_{0};
   std::atomic<std::uint64_t> tuples_buffered_{0};
   std::atomic<std::uint64_t> states_migrated_{0};
@@ -577,12 +598,10 @@ class Engine {
   std::vector<std::pair<std::uint32_t, std::vector<core::PairCount>>>
       delayed_stats_;
 
-  struct EdgeCounters {
-    std::atomic<std::uint64_t> local{0};
-    std::atomic<std::uint64_t> remote{0};
-    std::atomic<std::uint64_t> remote_bytes{0};
-  };
-  std::vector<EdgeCounters> edge_counters_;
+  // flush() calls currently waiting, and the word they sleep on.  Read by
+  // every POI on each park, so kept off the lines the driver writes.
+  alignas(64) std::atomic<std::uint32_t> flush_waiters_{0};
+  std::atomic<std::uint32_t> flush_wake_{0};
 
   bool started_ = false;
   bool shut_down_ = false;

@@ -194,11 +194,15 @@ struct CrashMsg {};
 // are value-initialized `Message{}` and reset to it when a staged batch is
 // aborted, so the default alternative has to be the cheap data one (and
 // default-constructible).  Keep Message lean — sizeof(Message) is the ring
-// slot size on every data-plane hand-off (bench/micro_hotpath reports it).
-using Message =
-    std::variant<DataMsg, GetMetricsMsg, ReconfMsg, PropagateMsg, MigrateMsg,
-                 FlushDelayedMsg, ShutdownMsg, BarrierMsg, CheckpointCommitMsg,
-                 ReplayRequestMsg, ReplayEndMsg, CrashMsg>;
+// slot size on every data-plane hand-off, so a control message larger than
+// DataMsg rides boxed: ReconfMsg (one per POI per wave) sits behind a
+// unique_ptr rather than doubling every slot.
+using Message = std::variant<DataMsg, GetMetricsMsg, std::unique_ptr<ReconfMsg>,
+                             PropagateMsg, MigrateMsg, FlushDelayedMsg,
+                             ShutdownMsg, BarrierMsg, CheckpointCommitMsg,
+                             ReplayRequestMsg, ReplayEndMsg, CrashMsg>;
+static_assert(sizeof(Message) <= 72,
+              "a Message ring slot must stay DataMsg plus the variant index");
 
 // --- replies to the manager ------------------------------------------------
 

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "chaos/fault_plan.hpp"
+#include "common/rng.hpp"
 #include "runtime/codec.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/queue.hpp"
@@ -389,6 +396,156 @@ TEST(Engine, MigratedStateLandsOnTableTarget) {
     }
   }
   engine.shutdown();
+}
+
+// --- flush exactness ---------------------------------------------------------
+
+/// Fails the test instead of letting it hang: a flush() that never returns
+/// cannot be unwound from another thread, so a round that makes no progress
+/// for `stall` reports where it stuck and aborts the test binary.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds stall)
+      : stall_(stall), thread_([this] { watch(); }) {}
+
+  ~Watchdog() {
+    {
+      std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+  /// Records one finished round.
+  void kick() {
+    {
+      std::lock_guard lock(mutex_);
+      ++rounds_;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  void watch() {
+    std::unique_lock lock(mutex_);
+    while (!stop_) {
+      const std::uint64_t seen = rounds_;
+      if (!cv_.wait_for(lock, stall_,
+                        [&] { return stop_ || rounds_ != seen; })) {
+        std::fprintf(stderr,
+                     "watchdog: no round finished for %lld s after round "
+                     "%llu; flush() never returned\n",
+                     static_cast<long long>(stall_.count()),
+                     static_cast<unsigned long long>(seen));
+        std::abort();
+      }
+    }
+  }
+
+  const std::chrono::seconds stall_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::uint64_t rounds_ = 0;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+/// Runs `rounds` inject -> flush() rounds of 1..300 tuples each and checks,
+/// after every flush, that every operator processed exactly the injected
+/// tuples and every edge carried exactly one hop per tuple: a flush() that
+/// returns while a tuple is still in flight leaves a count short.  With an
+/// injector, every duplicated copy must also have been dropped by then.
+void expect_flush_exact(FieldsRouting mode, std::size_t lane_batch,
+                        chaos::Injector* inj, int rounds, std::uint64_t seed,
+                        Watchdog& dog) {
+  const std::uint32_t n = 3;
+  const Topology topo = make_two_stage_topology(n);
+  const Placement place = Placement::round_robin(topo, n);
+  Engine engine(
+      topo, place, counting_factory(),
+      {.lane_batch = lane_batch, .fields_mode = mode, .injector = inj});
+  engine.start();
+  workload::SyntheticGenerator gen(
+      {.num_values = 60, .locality = 0.8, .padding = 4, .seed = seed});
+  GroundTruth truth;
+  std::uint64_t injected = 0;
+  if (mode == FieldsRouting::kTable) {
+    // Deploy a plan first, so the rounds run on table routing proper rather
+    // than on the empty table's hash fallback.
+    pump(engine, gen, 2000, &truth);
+    injected = 2000;
+    engine.flush();
+    core::Manager mgr(topo, place, {});
+    ASSERT_FALSE(engine.reconfigure(mgr).tables.empty());
+  }
+  Rng rng(seed);
+  for (int round = 0; round < rounds; ++round) {
+    const auto batch = static_cast<int>(1 + rng.below(300));
+    pump(engine, gen, batch, &truth);
+    injected += static_cast<std::uint64_t>(batch);
+    engine.flush();
+    const EngineMetrics m = engine.metrics();
+    for (OperatorId op = 0; op < topo.num_operators(); ++op) {
+      std::uint64_t processed = 0;
+      for (const std::uint64_t p : m.instance_processed[op]) processed += p;
+      ASSERT_EQ(processed, injected) << "op " << op << " round " << round;
+    }
+    for (std::size_t e = 0; e < m.edges.size(); ++e) {
+      ASSERT_EQ(m.edges[e].local + m.edges[e].remote, injected)
+          << "edge " << e << " round " << round;
+    }
+    if (inj != nullptr) {
+      ASSERT_EQ(m.data_dups_dropped,
+                inj->fired(chaos::FaultSite::kChannelDuplicate))
+          << "round " << round;
+    }
+    dog.kick();
+  }
+  expect_counts_match(engine, 1, n, truth.field0);
+  expect_counts_match(engine, 2, n, truth.field1);
+  engine.shutdown();
+}
+
+constexpr FieldsRouting kFlushModes[] = {FieldsRouting::kHash,
+                                         FieldsRouting::kTable};
+constexpr std::size_t kFlushBatches[] = {1, 32};
+
+TEST(RuntimeFlush, ExactAfterEveryRound) {
+  Watchdog dog(std::chrono::seconds(30));
+  std::uint64_t seed = 41;
+  for (const FieldsRouting mode : kFlushModes) {
+    for (const std::size_t lane_batch : kFlushBatches) {
+      SCOPED_TRACE(testing::Message()
+                   << "table " << (mode == FieldsRouting::kTable)
+                   << " lane_batch " << lane_batch);
+      expect_flush_exact(mode, lane_batch, nullptr, 200, seed++, dog);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(RuntimeFlush, ExactAfterEveryRoundUnderDuplicates) {
+  // Duplicated hops are sent twice and dropped once by the receiver's link
+  // dedup, so flush() must also wait out the drop path.
+  Watchdog dog(std::chrono::seconds(30));
+  std::uint64_t seed = 51;
+  for (const FieldsRouting mode : kFlushModes) {
+    for (const std::size_t lane_batch : kFlushBatches) {
+      SCOPED_TRACE(testing::Message()
+                   << "table " << (mode == FieldsRouting::kTable)
+                   << " lane_batch " << lane_batch);
+      chaos::FaultPlan plan(seed);
+      plan.set(chaos::FaultSite::kChannelDuplicate, {.rate = 0.05});
+      chaos::Injector inj(plan);
+      expect_flush_exact(mode, lane_batch, &inj, 200, seed++, dog);
+      if (HasFatalFailure()) return;
+      EXPECT_GT(inj.fired(chaos::FaultSite::kChannelDuplicate), 0u);
+    }
+  }
 }
 
 }  // namespace
