@@ -377,5 +377,183 @@ TEST(Routing, MakeRouterBuildsPartialKey) {
   EXPECT_LT(r->route(t), 4u);
 }
 
+// --- Golden routing decisions ----------------------------------------------------
+//
+// Digests of whole decision streams, recorded once: any change to a routing
+// discipline, a seed, a cursor rule or the counter reset on a table swap
+// moves a digest.  Both substrates route through these decisions, so these
+// pin the runtime and the simulator at once.
+
+/// S(3) -fields0-> A(5) -shuffle-> B(4) -local-> C(6) -local-> D(2)
+/// -fields1-> E(4) on 3 round-robin servers.  Every local list divides its
+/// fanout (C has 2 instances per server), and D's instance-less server 2
+/// makes C's emitters there fall back to rotating over all of D.
+Topology golden_topology() {
+  Topology topo;
+  const OperatorId s = topo.add_operator(
+      {.name = "S", .parallelism = 3, .is_source = true});
+  const OperatorId a = topo.add_operator({.name = "A", .parallelism = 5});
+  const OperatorId b = topo.add_operator({.name = "B", .parallelism = 4});
+  const OperatorId c = topo.add_operator({.name = "C", .parallelism = 6});
+  const OperatorId d = topo.add_operator({.name = "D", .parallelism = 2});
+  const OperatorId e = topo.add_operator({.name = "E", .parallelism = 4});
+  topo.connect(s, a, GroupingType::kFields, /*key_field=*/0);
+  topo.connect(a, b, GroupingType::kShuffle);
+  topo.connect(b, c, GroupingType::kLocalOrShuffle);
+  topo.connect(c, d, GroupingType::kLocalOrShuffle);
+  topo.connect(d, e, GroupingType::kFields, /*key_field=*/1);
+  return topo;
+}
+
+constexpr FieldsRouting kAllModes[] = {
+    FieldsRouting::kHash,     FieldsRouting::kPermutation,
+    FieldsRouting::kTable,    FieldsRouting::kIdentity,
+    FieldsRouting::kWorstCase, FieldsRouting::kPartialKey};
+
+/// Plain assignments for even keys below 40.
+std::shared_ptr<RoutingTable> golden_table(std::uint32_t fanout) {
+  auto table = std::make_shared<RoutingTable>();
+  for (Key k = 0; k < 40; k += 2) {
+    table->assign(k, static_cast<InstanceIndex>((k * 7) % fanout));
+  }
+  return table;
+}
+
+/// Plain, degree-2 and degree-3 split keys, plus a fallback domain when
+/// `fallback` is set.
+std::shared_ptr<RoutingTable> golden_split_table(std::uint32_t fanout,
+                                                 std::uint64_t seed,
+                                                 bool fallback) {
+  auto table = std::make_shared<RoutingTable>();
+  Rng rng(seed);
+  for (Key k = 0; k < 48; ++k) {
+    const auto first = static_cast<InstanceIndex>(rng.below(fanout));
+    const std::uint64_t kind = rng.below(4);
+    if (kind < 2) {
+      table->assign(k, first);
+    } else {
+      std::vector<InstanceIndex> cands;
+      for (std::uint32_t c = 0; c < kind; ++c) {
+        cands.push_back((first + c * 3) % fanout);
+      }
+      table->assign_split(k, cands);
+    }
+  }
+  if (fallback) {
+    std::vector<InstanceIndex> domain;
+    for (InstanceIndex i = 0; i < fanout; i += 2) domain.push_back(i);
+    table->set_fallback(std::move(domain));
+  }
+  return table;
+}
+
+Tuple golden_tuple(Rng& rng) {
+  return Tuple{.fields = {rng.below(64), rng.below(64)}};
+}
+
+TEST(RouterGolden, EveryGroupingModeAndEmitter) {
+  const Topology topo = golden_topology();
+  const Placement place = Placement::round_robin(topo, 3);
+  const std::uint64_t expected[] = {
+      1907328634575706951u, 3903588736889198141u,  13383607964897889783u,
+      9479741248517275532u, 1242868677553118918u, 13883382953588246417u};
+  for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
+    std::vector<std::unique_ptr<Router>> routers;
+    for (std::uint32_t e = 0; e < topo.edges().size(); ++e) {
+      const EdgeSpec& edge = topo.edges()[e];
+      for (InstanceIndex i = 0; i < topo.op(edge.from).parallelism; ++i) {
+        routers.push_back(make_router(
+            edge, e, topo, place, place.server_of(edge.from, i), kAllModes[m],
+            golden_table(topo.op(edge.to).parallelism),
+            /*seed=*/77 * 1000003 + e * 131 + i));
+      }
+    }
+    std::uint64_t h = 0;
+    Rng rng(31337);
+    for (int round = 0; round < 4000; ++round) {
+      const Tuple tuple = golden_tuple(rng);
+      for (auto& r : routers) h = hash_combine(h, mix64(r->route(tuple)));
+    }
+    EXPECT_EQ(h, expected[m]) << "mode " << to_string(kAllModes[m]) << " #" << m;
+  }
+}
+
+TEST(RouterGolden, SetTableFromEveryKind) {
+  // Both substrates switch a fields edge to table routing with zeroed sent
+  // counters, whatever the router routed by before.
+  const Topology topo = golden_topology();
+  const Placement place = Placement::round_robin(topo, 3);
+  // hash and table coincide: a kTable router born without a table hashes.
+  const std::uint64_t expected[] = {
+      3089699623784523537u,  9868436411870016526u, 3089699623784523537u,
+      15815838900729723402u, 14377896607928664843u, 18222442123298694984u};
+  for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
+    std::uint64_t h = 0;
+    Rng rng(4242);
+    for (const std::uint32_t e : {0u, 4u}) {
+      const EdgeSpec& edge = topo.edges()[e];
+      const std::uint32_t fanout = topo.op(edge.to).parallelism;
+      for (InstanceIndex i = 0; i < topo.op(edge.from).parallelism; ++i) {
+        auto r = make_router(edge, e, topo, place,
+                             place.server_of(edge.from, i), kAllModes[m],
+                             nullptr, /*seed=*/5 + i);
+        for (int n = 0; n < 500; ++n) {
+          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+        }
+        r = std::make_unique<TableFieldsRouter>(
+            edge.key_field, fanout, golden_split_table(fanout, 9 + i, true));
+        for (int n = 0; n < 1500; ++n) {
+          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+        }
+        r = std::make_unique<TableFieldsRouter>(
+            edge.key_field, fanout, golden_split_table(fanout, 99 + i, false));
+        for (int n = 0; n < 500; ++n) {
+          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+        }
+      }
+    }
+    EXPECT_EQ(h, expected[m]) << "mode " << to_string(kAllModes[m]) << " #" << m;
+  }
+}
+
+TEST(RouterGolden, ShuffleRestrictedTwice) {
+  const Topology topo = golden_topology();
+  const Placement place = Placement::round_robin(topo, 3);
+  const EdgeSpec& edge = topo.edges()[1];  // A -> B, shuffle
+  std::uint64_t h = 0;
+  for (InstanceIndex i = 0; i < topo.op(edge.from).parallelism; ++i) {
+    auto r = make_router(edge, 1, topo, place, place.server_of(edge.from, i),
+                         FieldsRouting::kTable, nullptr, /*seed=*/13 + i);
+    const Tuple t = Tuple{.fields = {0, 0}};
+    for (int n = 0; n < 37; ++n) h = hash_combine(h, mix64(r->route(t)));
+    r->set_active_instances({0, 2, 3});
+    for (int n = 0; n < 53; ++n) h = hash_combine(h, mix64(r->route(t)));
+    r->set_active_instances({1, 2});
+    for (int n = 0; n < 41; ++n) h = hash_combine(h, mix64(r->route(t)));
+  }
+  EXPECT_EQ(h, 10360865032653544577u);
+}
+
+TEST(RouterGolden, SplitTablesOfDegreeTwoAndThreeWithSwap) {
+  const Topology topo = make_two_stage_topology(4);
+  const Placement place = Placement::round_robin(topo, 4);
+  const EdgeSpec& edge = topo.edges()[1];
+  std::uint64_t h = 0;
+  Rng rng(404);
+  for (InstanceIndex i = 0; i < 4; ++i) {
+    auto r = make_router(edge, 1, topo, place, place.server_of(edge.from, i),
+                         FieldsRouting::kTable,
+                         golden_split_table(4, 21 + i, false), /*seed=*/9);
+    for (int n = 0; n < 4000; ++n) {
+      h = hash_combine(h, mix64(r->route(Tuple{.fields = {0, rng.below(48)}})));
+    }
+    r->set_table(golden_split_table(4, 31 + i, false));
+    for (int n = 0; n < 2000; ++n) {
+      h = hash_combine(h, mix64(r->route(Tuple{.fields = {0, rng.below(48)}})));
+    }
+  }
+  EXPECT_EQ(h, 5210552211190483204u);
+}
+
 }  // namespace
 }  // namespace lar
