@@ -64,7 +64,7 @@ void BM_PairStatsRecord(benchmark::State& state) {
 BENCHMARK(BM_PairStatsRecord);
 
 void BM_HashRouting(benchmark::State& state) {
-  HashFieldsRouter router(0, 6);
+  Router router(0, 6);
   Tuple t{.fields = {12345, 678}, .padding = 0};
   for (auto _ : state) {
     t.fields[0] += 1;
@@ -79,7 +79,7 @@ void BM_TableRouting(benchmark::State& state) {
   for (Key k = 0; k < static_cast<Key>(state.range(0)); ++k) {
     table->assign(k, static_cast<InstanceIndex>(k % 6));
   }
-  TableFieldsRouter router(0, 6, table);
+  Router router(0, 6, table);
   Tuple t{.fields = {0, 0}, .padding = 0};
   Key k = 0;
   for (auto _ : state) {

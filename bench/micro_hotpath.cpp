@@ -2,18 +2,18 @@
 // per tuple, measured in isolation so regressions show up before they blur
 // into a 50-second figure run.
 //
-//   * table routing: the seed's std::unordered_map table behind a virtual
-//     Router call vs FlatMap behind RouterBank's switch (the acceptance
-//     target is >= 2x);
-//   * route() cost per router kind, virtual vs devirtualized;
+//   * table routing: the seed's std::unordered_map table vs lar::Router's
+//     FlatMap table (the acceptance target is >= 2x);
+//   * route() cost per routing discipline, split tables included;
 //   * SpaceSaving::add throughput (the per-tuple statistics cost);
-//   * FlatMap vs std::unordered_map probe cost.
+//   * FlatMap vs std::unordered_map probe cost;
+//   * channel hand-off: shared queue vs SPSC lane vs batched lane.
 //
-// Every timed pair doubles as a differential test: the virtual and
-// devirtualized paths must produce identical decision checksums, and FlatMap
-// must agree with std::unordered_map — any mismatch exits nonzero, so the
-// `perf`-labelled ctest smoke run catches determinism breakage, not just
-// build rot.
+// Every timed pair doubles as a differential test: the seed table and the
+// Router must produce identical decision checksums, FlatMap must agree with
+// std::unordered_map and the channels must pop the same stream — any
+// mismatch exits nonzero, so the `perf`-labelled ctest smoke run catches
+// determinism breakage, not just build rot.
 //
 // Unlike the fig benches' BENCH_*.json (which embed deterministic obs
 // reports), BENCH_micro_hotpath.json contains measured wall-clock timings and
@@ -31,7 +31,6 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "runtime/queue.hpp"
-#include "sim/route_desc.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/zipf.hpp"
 #include "topology/routing.hpp"
@@ -63,17 +62,17 @@ Point timed(std::string name, std::uint64_t ops, Fn&& fn) {
   return p;
 }
 
-/// The seed's table-routing data path, kept faithful as the baseline: a
-/// node-based std::unordered_map (std::hash) held behind a shared_ptr (the
-/// seed's TableFieldsRouter shared one RoutingTable per edge), probed through
-/// a virtual call with the seed's per-tuple LAR_CHECK.
-class LegacyTableRouter final : public Router {
+/// The seed's table lookup, kept as the baseline: a node-based
+/// std::unordered_map (std::hash) held behind a shared_ptr (the seed's table
+/// router shared one RoutingTable per edge), probed with the seed's
+/// per-tuple LAR_CHECK.
+class LegacyTableRouter {
  public:
   LegacyTableRouter(std::uint32_t key_field, std::uint32_t fanout,
                     std::shared_ptr<const std::unordered_map<Key, InstanceIndex>> table)
       : key_field_(key_field), fanout_(fanout), table_(std::move(table)) {}
 
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override {
+  [[nodiscard]] InstanceIndex route(const Tuple& tuple) {
     LAR_CHECK(key_field_ < tuple.fields.size());
     const Key key = tuple.fields[key_field_];
     const auto it = table_->find(key);
@@ -123,8 +122,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "# micro_hotpath — per-tuple data-plane costs (%" PRIu64 " ops/point)\n"
-      "# columns: benchmark, ns/op; every virtual/switch pair is also a\n"
-      "# differential determinism check (mismatch -> nonzero exit)\n",
+      "# columns: benchmark, ns/op; table, flat-map and channel pairs are\n"
+      "# also differential determinism checks (mismatch -> nonzero exit)\n",
       ops);
 
   const Topology topo = bench_topology();
@@ -190,30 +189,29 @@ int main(int argc, char** argv) {
       }
     }
     Tuple scratch{.fields = {0}};
-    std::unique_ptr<Router> legacy = std::make_unique<LegacyTableRouter>(
-        /*key_field=*/0, /*fanout=*/8, legacy_map);
-    sim::RouterBank bank;
-    const std::uint32_t slot =
-        bank.add(fields_edge, 0, topo, place, place.server_of(0, 0),
-                 FieldsRouting::kTable, &table, /*seed=*/1);
+    LegacyTableRouter legacy(/*key_field=*/0, /*fanout=*/8, legacy_map);
+    Router router = make_router(
+        fields_edge, 0, topo, place, place.server_of(0, 0),
+        FieldsRouting::kTable,
+        std::make_shared<const RoutingTable>(std::move(table)), /*seed=*/1);
 
-    points.push_back(timed("table_route_virtual_unordered", ops, [&] {
+    points.push_back(timed("table_route_seed_unordered", ops, [&] {
       std::uint64_t sum = 0;
       std::uint64_t idx = 0;
       for (std::uint64_t i = 0; i < ops; ++i) {
         scratch.fields[0] = stream[idx & kTupleMask];
-        const InstanceIndex dst = legacy->route(scratch);
+        const InstanceIndex dst = legacy.route(scratch);
         sum += dst;
         idx += i + dst;
       }
       return sum;
     }));
-    points.push_back(timed("table_route_switch_flatmap", ops, [&] {
+    points.push_back(timed("table_route_flatmap", ops, [&] {
       std::uint64_t sum = 0;
       std::uint64_t idx = 0;
       for (std::uint64_t i = 0; i < ops; ++i) {
         scratch.fields[0] = stream[idx & kTupleMask];
-        const InstanceIndex dst = bank.route(slot, scratch);
+        const InstanceIndex dst = router.route(scratch);
         sum += dst;
         idx += i + dst;
       }
@@ -223,7 +221,7 @@ int main(int argc, char** argv) {
                 points[points.size() - 2].checksum, points.back().checksum);
   }
 
-  // --- route() cost per router kind, virtual vs devirtualized --------------
+  // --- route() cost per routing discipline ---------------------------------
   struct ModePoint {
     const char* name;
     FieldsRouting mode;
@@ -239,34 +237,19 @@ int main(int argc, char** argv) {
   };
   for (const ModePoint& m : modes) {
     const EdgeSpec& edge = topo.edges()[m.edge];
-    auto router = make_router(edge, m.edge, topo, place,
-                              place.server_of(edge.from, 0), m.mode, nullptr,
-                              /*seed=*/9);
-    sim::RouterBank bank;
-    const std::uint32_t slot =
-        bank.add(edge, m.edge, topo, place, place.server_of(edge.from, 0),
-                 m.mode, nullptr, /*seed=*/9);
-    points.push_back(timed(std::string("route_virtual_") + m.name, ops, [&] {
+    Router router = make_router(edge, m.edge, topo, place,
+                                place.server_of(edge.from, 0), m.mode, nullptr,
+                                /*seed=*/9);
+    points.push_back(timed(std::string("route_") + m.name, ops, [&] {
       std::uint64_t sum = 0;
       for (std::uint64_t i = 0; i < ops; ++i) {
-        sum += router->route(tuples[i & kTupleMask]);
+        sum += router.route(tuples[i & kTupleMask]);
       }
       return sum;
     }));
-    points.push_back(timed(std::string("route_switch_") + m.name, ops, [&] {
-      std::uint64_t sum = 0;
-      for (std::uint64_t i = 0; i < ops; ++i) {
-        sum += bank.route(slot, tuples[i & kTupleMask]);
-      }
-      return sum;
-    }));
-    // Stateful routers advanced through identical call sequences, so the
-    // decision streams — and hence the sums — must agree exactly.
-    check_equal(m.name, points[points.size() - 2].checksum,
-                points.back().checksum);
   }
 
-  // --- split routing: d-candidate least-loaded, virtual vs devirtualized ----
+  // --- split routing: d-candidate least-loaded ------------------------------
   //
   // Tables where 10% of the planned keys are split (lar::split hot keys):
   // each split lookup walks its d candidates' sent counters and bumps the
@@ -289,32 +272,17 @@ int main(int argc, char** argv) {
         table->assign(k, static_cast<InstanceIndex>(fill.below(fanout)));
       }
     }
-    auto router = make_router(edge, 0, topo, place,
-                              place.server_of(edge.from, 0),
-                              FieldsRouting::kTable, table, /*seed=*/9);
-    sim::RouterBank bank;
-    const std::uint32_t slot =
-        bank.add(edge, 0, topo, place, place.server_of(edge.from, 0),
-                 FieldsRouting::kTable, table.get(), /*seed=*/9);
-    const std::string name = "split_d" + std::to_string(degree);
-    points.push_back(timed("route_" + name + "_virtual", ops, [&] {
-      std::uint64_t sum = 0;
-      for (std::uint64_t i = 0; i < ops; ++i) {
-        sum += router->route(tuples[i & kTupleMask]);
-      }
-      return sum;
-    }));
-    points.push_back(timed("route_" + name + "_switch", ops, [&] {
-      std::uint64_t sum = 0;
-      for (std::uint64_t i = 0; i < ops; ++i) {
-        sum += bank.route(slot, tuples[i & kTupleMask]);
-      }
-      return sum;
-    }));
-    // Both routers advanced their sent counters through identical call
-    // sequences, so the decision streams must agree exactly.
-    check_equal(name.c_str(), points[points.size() - 2].checksum,
-                points.back().checksum);
+    Router router = make_router(edge, 0, topo, place,
+                                place.server_of(edge.from, 0),
+                                FieldsRouting::kTable, table, /*seed=*/9);
+    points.push_back(
+        timed("route_split_d" + std::to_string(degree), ops, [&] {
+          std::uint64_t sum = 0;
+          for (std::uint64_t i = 0; i < ops; ++i) {
+            sum += router.route(tuples[i & kTupleMask]);
+          }
+          return sum;
+        }));
   }
 
   // --- SpaceSaving add throughput -------------------------------------------
@@ -456,15 +424,15 @@ int main(int argc, char** argv) {
 
   // --- report ----------------------------------------------------------------
   double legacy_ns = 0.0;
-  double devirt_ns = 0.0;
+  double flat_ns = 0.0;
   for (const Point& p : points) {
     std::printf("%-32s %10.2f ns/op\n", p.name.c_str(), p.ns_per_op);
-    if (p.name == "table_route_virtual_unordered") legacy_ns = p.ns_per_op;
-    if (p.name == "table_route_switch_flatmap") devirt_ns = p.ns_per_op;
+    if (p.name == "table_route_seed_unordered") legacy_ns = p.ns_per_op;
+    if (p.name == "table_route_flatmap") flat_ns = p.ns_per_op;
   }
-  const double speedup = devirt_ns > 0.0 ? legacy_ns / devirt_ns : 0.0;
-  std::printf("# table routing speedup (virtual+unordered_map -> "
-              "switch+FlatMap): %.2fx (target >= 2x)\n", speedup);
+  const double speedup = flat_ns > 0.0 ? legacy_ns / flat_ns : 0.0;
+  std::printf("# table routing speedup (unordered_map -> Router+FlatMap): "
+              "%.2fx (target >= 2x)\n", speedup);
 
   std::string json = "{\"bench\":\"micro_hotpath\",\"ops\":" +
                      std::to_string(ops) + ",\"points\":[";

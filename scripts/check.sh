@@ -43,7 +43,7 @@ cmake -B build-asan -G Ninja -DLAR_SANITIZE=address >/dev/null
 cmake --build build-asan >/dev/null
 ctest --test-dir build-asan -L 'ckpt|queue|split|fleet|runtime' --output-on-failure
 
-log "perf smoke (devirtualized-routing + channel hand-off differential checks)"
+log "perf smoke (seed-table vs Router table, flat-map and channel hand-off differential checks)"
 ./build/bench/micro_hotpath --ops 20000 >/dev/null
 
 log "runtime throughput floor + lane_batch degenerate-batch equivalence"

@@ -66,7 +66,7 @@ struct Engine::Poi {
   bool active = true;
 
   // Parallel to topology.out_edges(op):
-  std::vector<std::unique_ptr<Router>> routers;
+  std::vector<Router> routers;
   std::vector<std::optional<core::PairStats>> pair_stats;
 
   // --- data-plane fast path (DESIGN.md §13), wired at construction ---------
@@ -272,7 +272,7 @@ Engine::Engine(const Topology& topology, const Placement& placement,
             edge, eid, topology, placement, poi.server, options_.fields_mode,
             std::move(initial), options_.seed * 7919 + eid * 131 + i));
         if (restricted && edge.grouping == GroupingType::kShuffle) {
-          poi.routers.back()->set_active_instances(
+          poi.routers.back().set_active_instances(
               placement.active_instances(edge.to, active_servers_));
         }
         if (edge.grouping == GroupingType::kFields &&
@@ -467,15 +467,14 @@ void Engine::restore_from_store() {
       const EdgeSpec& edge = topology_.edges()[out[k]];
       if (edge.grouping != GroupingType::kFields) {
         if (restricted || constructed_restricted) {
-          poi->routers[k]->set_active_instances(
+          poi->routers[k].set_active_instances(
               placement_.active_instances(edge.to, active_servers_));
         }
         continue;
       }
       const auto it = restored_tables.find(edge.to);
       if (it == restored_tables.end()) continue;
-      poi->routers[k] = std::make_unique<TableFieldsRouter>(
-          edge.key_field, topology_.op(edge.to).parallelism, it->second);
+      poi->routers[k].set_table(it->second);
     }
   }
 
@@ -958,7 +957,7 @@ void Engine::send_data(Poi& poi, std::uint32_t out_pos, const Tuple& tuple,
                        Tuple* owned, Key in_key) {
   const std::uint32_t eid = topology_.out_edges(poi.op)[out_pos];
   const EdgeSpec& edge = topology_.edges()[eid];
-  const InstanceIndex dst = poi.routers[out_pos]->route(tuple);
+  const InstanceIndex dst = poi.routers[out_pos].route(tuple);
   const Poi::OutLane& ol = poi.out_lanes[out_pos][dst];
   Poi& target = *ol.target;
   Poi::EdgeTraffic& traffic = poi.traffic[out_pos];
@@ -1094,14 +1093,13 @@ void Engine::run_reconfig_actions(Poi& poi) {
     const EdgeSpec& edge = topology_.edges()[out[k]];
     if (edge.grouping != GroupingType::kFields) {
       if (activity_change) {
-        poi.routers[k]->set_active_instances(wave->actives[edge.to]);
+        poi.routers[k].set_active_instances(wave->actives[edge.to]);
       }
       continue;
     }
     auto it = staged.tables.find(edge.to);
     if (it == staged.tables.end()) continue;
-    poi.routers[k] = std::make_unique<TableFieldsRouter>(
-        edge.key_field, topology_.op(edge.to).parallelism, it->second);
+    poi.routers[k].set_table(it->second);
     if (poi.pair_stats[k].has_value()) poi.pair_stats[k]->reset();
   }
 

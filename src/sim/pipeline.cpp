@@ -20,18 +20,17 @@ PipelineModel::PipelineModel(const Topology& topology,
 
   const auto& edges = topology.edges();
   route_base_.resize(edges.size());
-  edge_tables_.resize(edges.size());
   pair_stats_.resize(edges.size());
   work_.reserve(topology.num_operators());
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const EdgeSpec& edge = edges[e];
     const std::uint32_t src_par = topology.op(edge.from).parallelism;
-    route_base_[e] = static_cast<std::uint32_t>(bank_.size());
+    route_base_[e] = static_cast<std::uint32_t>(routers_.size());
     for (InstanceIndex i = 0; i < src_par; ++i) {
-      bank_.add(edge, static_cast<std::uint32_t>(e), topology, placement,
-                placement.server_of(edge.from, i), fields_mode,
-                /*table=*/nullptr,
-                /*seed=*/config.seed * 1000003 + e * 131 + i);
+      routers_.push_back(make_router(
+          edge, static_cast<std::uint32_t>(e), topology, placement,
+          placement.server_of(edge.from, i), fields_mode, /*table=*/nullptr,
+          /*seed=*/config.seed * 1000003 + e * 131 + i));
     }
     // Instrument the emitting POIs of optimizable hops: fields edges whose
     // emitter carries an upstream fields-routed key (its "anchor"); for a
@@ -148,10 +147,8 @@ void PipelineModel::deliver(OperatorId op, InstanceIndex instance,
     const ServerId server = top.server;  // copied: push_back invalidates top
 
     const EdgeSpec& edge = topology_.edges()[e];
-    if (edge.grouping == GroupingType::kFields) {
-      LAR_CHECK(edge.key_field < tuple.fields.size());
-    }
-    const InstanceIndex dst = bank_.route(route_base_[e] + src_instance, tuple);
+    const InstanceIndex dst =
+        routers_[route_base_[e] + src_instance].route(tuple);
     const ServerId dst_server = placement_.server_of(edge.to, dst);
 
     if (!pair_stats_[e].empty() && in_key != kNoKey) {
@@ -198,9 +195,8 @@ void PipelineModel::set_table(OperatorId op,
   for (const std::uint32_t e : topology_.in_edges(op)) {
     if (edges[e].grouping != GroupingType::kFields) continue;
     const std::uint32_t src_par = topology_.op(edges[e].from).parallelism;
-    edge_tables_[e] = table;  // keep-alive for the raw pointers below
     for (InstanceIndex i = 0; i < src_par; ++i) {
-      bank_.set_table(route_base_[e] + i, edge_tables_[e].get());
+      routers_[route_base_[e] + i].set_table(table);
     }
   }
 }
@@ -215,7 +211,7 @@ void PipelineModel::set_active_servers(std::uint32_t num_active) {
 void PipelineModel::apply_active_restriction(std::uint32_t num_active) {
   // Mirror of Engine::require_elastic_capable: the epoch-consistency story
   // needs the fallback domain to ride inside routing tables, and activity
-  // changes only know how to restrict table and shuffle descriptors.
+  // changes only know how to restrict table and shuffle routers.
   LAR_CHECK(fields_mode_ == FieldsRouting::kTable);
   const auto& edges = topology_.edges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
@@ -226,7 +222,7 @@ void PipelineModel::apply_active_restriction(std::uint32_t num_active) {
         placement_.active_instances(edges[e].to, num_active);
     const std::uint32_t src_par = topology_.op(edges[e].from).parallelism;
     for (InstanceIndex i = 0; i < src_par; ++i) {
-      bank_.set_shuffle_actives(route_base_[e] + i, act);
+      routers_[route_base_[e] + i].set_active_instances(act);
     }
   }
   source_actives_.resize(sources_.size());

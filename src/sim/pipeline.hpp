@@ -7,12 +7,11 @@
 // respect to time: feeding N sample tuples yields per-tuple resource demands
 // from which the throughput solver derives the sustainable rate.
 //
-// Hot path: the runtime routes through virtual Router objects (one thread per
-// POI, correctness substrate); the simulator is the performance substrate and
-// instead resolves every (edge, emitting instance) router into a RouteDesc at
-// construction, routing via RouterBank's switch.  Delivery walks the DAG with
-// an explicit worklist rather than recursion, so chain depth is bounded by
-// one reserved vector, not the C++ stack.
+// Hot path: every (edge, emitting instance) gets the same lar::Router the
+// runtime gives that POI, built once at construction and stored by value in
+// one contiguous vector.  Delivery walks the DAG with an explicit worklist
+// rather than recursion, so chain depth is bounded by one reserved vector,
+// not the C++ stack.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +23,6 @@
 #include "core/manager.hpp"
 #include "core/pair_stats.hpp"
 #include "sim/config.hpp"
-#include "sim/route_desc.hpp"
 #include "topology/placement.hpp"
 #include "topology/routing.hpp"
 #include "topology/topology.hpp"
@@ -139,7 +137,7 @@ class PipelineModel {
   void deliver(OperatorId op, InstanceIndex instance, Key routed_in_key,
                const Tuple& tuple);
 
-  /// Re-targets every shuffle descriptor and source pick list to the active
+  /// Re-targets every shuffle router and source pick list to the active
   /// instance sets of the prefix [0, num_active).
   void apply_active_restriction(std::uint32_t num_active);
 
@@ -147,11 +145,9 @@ class PipelineModel {
   const Placement& placement_;
   SimConfig config_;
   FieldsRouting fields_mode_;
-  RouterBank bank_;
-  // Descriptor slot of (edge e, src instance i) is route_base_[e] + i.
+  // The router of (edge e, src instance i) is routers_[route_base_[e] + i].
+  std::vector<Router> routers_;
   std::vector<std::uint32_t> route_base_;
-  // Keep installed tables alive; bank descriptors hold raw pointers.
-  std::vector<std::shared_ptr<const RoutingTable>> edge_tables_;
   std::vector<Frame> work_;
   // pair_stats_[edge_id][src_instance]: stats recorded by the emitting POI
   // for optimizable hops (empty vector for other edges).

@@ -1,206 +1,105 @@
 #include "topology/routing.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 namespace lar {
 
-ShuffleRouter::ShuffleRouter(std::uint32_t fanout, std::uint64_t seed)
-    : fanout_(fanout), next_(static_cast<std::uint32_t>(mix64(seed) % fanout)) {
+Router::Router(Kind kind, std::uint32_t key_field, std::uint32_t fanout)
+    : kind_(kind), key_field_(key_field), fanout_(fanout) {
   LAR_CHECK(fanout >= 1);
 }
 
-InstanceIndex ShuffleRouter::route(const Tuple& /*tuple*/) {
-  if (!actives_.empty()) {
-    const InstanceIndex out = actives_[next_ % actives_.size()];
-    next_ = (next_ + 1) % static_cast<std::uint32_t>(actives_.size());
-    return out;
-  }
-  const InstanceIndex out = next_;
-  next_ = (next_ + 1) % fanout_;
-  return out;
+Router::Router(std::uint32_t key_field, std::uint32_t fanout,
+               std::shared_ptr<const RoutingTable> table)
+    : Router(Kind::kHash, key_field, fanout) {
+  if (table != nullptr) set_table(std::move(table));
 }
 
-void ShuffleRouter::set_active_instances(
-    const std::vector<InstanceIndex>& instances) {
-  LAR_CHECK(!instances.empty());
-  actives_ = instances;
-  next_ %= static_cast<std::uint32_t>(actives_.size());
+InstanceIndex Router::route_split(Key key) {
+  const auto candidates = table_->split_candidates(key);
+  return candidates.empty() ? table_->route(key, fanout_)
+                            : least_loaded(candidates);
 }
 
-LocalOrShuffleRouter::LocalOrShuffleRouter(
-    std::vector<InstanceIndex> local_instances, std::uint32_t fanout,
-    std::uint64_t seed)
-    : locals_(std::move(local_instances)),
-      fanout_(fanout),
-      next_(static_cast<std::uint32_t>(mix64(seed) % fanout)) {
-  LAR_CHECK(fanout >= 1);
-}
-
-InstanceIndex LocalOrShuffleRouter::route(const Tuple& /*tuple*/) {
-  if (!locals_.empty()) {
-    const InstanceIndex out = locals_[next_ % locals_.size()];
-    next_ = (next_ + 1) % fanout_;
-    return out;
-  }
-  const InstanceIndex out = next_;
-  next_ = (next_ + 1) % fanout_;
-  return out;
-}
-
-HashFieldsRouter::HashFieldsRouter(std::uint32_t key_field,
-                                   std::uint32_t fanout)
-    : key_field_(key_field), fanout_(fanout) {
-  LAR_CHECK(fanout >= 1);
-}
-
-InstanceIndex HashFieldsRouter::route(const Tuple& tuple) {
-  LAR_CHECK(key_field_ < tuple.fields.size());
-  return hash_instance(tuple.fields[key_field_], fanout_);
-}
-
-IdentityFieldsRouter::IdentityFieldsRouter(std::uint32_t key_field,
-                                           std::uint32_t fanout,
-                                           std::uint32_t offset)
-    : key_field_(key_field), fanout_(fanout), offset_(offset) {
-  LAR_CHECK(fanout >= 1);
-}
-
-InstanceIndex IdentityFieldsRouter::route(const Tuple& tuple) {
-  LAR_CHECK(key_field_ < tuple.fields.size());
-  return static_cast<InstanceIndex>(
-      (tuple.fields[key_field_] + offset_) % fanout_);
-}
-
-PermutationFieldsRouter::PermutationFieldsRouter(std::uint32_t key_field,
-                                                 std::uint32_t fanout,
-                                                 std::uint64_t seed)
-    : key_field_(key_field), fanout_(fanout) {
-  LAR_CHECK(fanout >= 1);
-  perm_.resize(fanout);
-  for (std::uint32_t i = 0; i < fanout; ++i) perm_[i] = i;
-  Rng rng(seed);
-  for (std::uint32_t i = fanout; i > 1; --i) {
-    std::swap(perm_[i - 1], perm_[rng.below(i)]);
-  }
-}
-
-InstanceIndex PermutationFieldsRouter::route(const Tuple& tuple) {
-  LAR_CHECK(key_field_ < tuple.fields.size());
-  return perm_[tuple.fields[key_field_] % fanout_];
-}
-
-PartialKeyRouter::PartialKeyRouter(std::uint32_t key_field,
-                                   std::uint32_t fanout)
-    : key_field_(key_field), fanout_(fanout), sent_(fanout, 0) {
-  LAR_CHECK(fanout >= 1);
-}
-
-std::pair<InstanceIndex, InstanceIndex> PartialKeyRouter::candidates(
-    Key key) const noexcept {
-  // Two independent hash functions via distinct mixing constants.
-  const auto h1 = static_cast<InstanceIndex>(mix64(key) % fanout_);
-  const auto h2 = static_cast<InstanceIndex>(
-      mix64(key ^ 0x9e3779b97f4a7c15ULL) % fanout_);
-  return {h1, h2};
-}
-
-InstanceIndex PartialKeyRouter::route(const Tuple& tuple) {
-  LAR_CHECK(key_field_ < tuple.fields.size());
-  const auto [h1, h2] = candidates(tuple.fields[key_field_]);
-  const InstanceIndex pick = sent_[h1] <= sent_[h2] ? h1 : h2;
-  ++sent_[pick];
-  return pick;
-}
-
-void PartialKeyRouter::set_table(
-    std::shared_ptr<const RoutingTable> /*table*/) {
-  std::fill(sent_.begin(), sent_.end(), 0);
-}
-
-TableFieldsRouter::TableFieldsRouter(std::uint32_t key_field,
-                                     std::uint32_t fanout,
-                                     std::shared_ptr<const RoutingTable> table)
-    : key_field_(key_field),
-      fanout_(fanout),
-      table_(std::move(table)),
-      sent_(fanout, 0) {
-  LAR_CHECK(fanout >= 1);
-  LAR_CHECK(table_ != nullptr);
-}
-
-InstanceIndex TableFieldsRouter::route(const Tuple& tuple) {
-  LAR_CHECK(key_field_ < tuple.fields.size());
-  const Key key = tuple.fields[key_field_];
-  if (table_->has_splits()) {
-    const auto candidates = table_->split_candidates(key);
-    if (!candidates.empty()) {
-      // Least-loaded-of-d by local sent counters; strict less keeps the
-      // first-listed candidate on ties (the 2-choice PKG `<=` rule
-      // generalized to candidate order).
-      InstanceIndex pick = candidates[0];
-      for (const InstanceIndex c : candidates) {
-        if (sent_[c] < sent_[pick]) pick = c;
-      }
-      ++sent_[pick];
-      return pick;
-    }
-  }
-  return table_->route(key, fanout_);
-}
-
-void TableFieldsRouter::set_table(std::shared_ptr<const RoutingTable> table) {
+void Router::set_table(std::shared_ptr<const RoutingTable> table) {
   LAR_CHECK(table != nullptr);
+  LAR_CHECK(kind_ != Kind::kShuffle && kind_ != Kind::kLocalOrShuffle);
+  kind_ = Kind::kTable;
   table_ = std::move(table);
-  std::fill(sent_.begin(), sent_.end(), 0);
+  sent_.assign(fanout_, 0);
 }
 
-std::unique_ptr<Router> make_router(const EdgeSpec& edge,
-                                    std::uint32_t edge_index,
-                                    const Topology& topology,
-                                    const Placement& placement,
-                                    ServerId src_server,
-                                    FieldsRouting fields_mode,
-                                    std::shared_ptr<const RoutingTable> table,
-                                    std::uint64_t seed) {
+void Router::set_active_instances(std::vector<InstanceIndex> instances) {
+  LAR_CHECK(kind_ == Kind::kShuffle);
+  LAR_CHECK(!instances.empty());
+  instances_ = std::move(instances);
+  cursor_ %= static_cast<std::uint32_t>(instances_.size());
+}
+
+Router make_router(const EdgeSpec& edge, std::uint32_t edge_index,
+                   const Topology& topology, const Placement& placement,
+                   ServerId src_server, FieldsRouting fields_mode,
+                   std::shared_ptr<const RoutingTable> table,
+                   std::uint64_t seed) {
   const std::uint32_t fanout = topology.op(edge.to).parallelism;
+  using Kind = Router::Kind;
   switch (edge.grouping) {
     case GroupingType::kShuffle:
-      return std::make_unique<ShuffleRouter>(fanout, seed);
-    case GroupingType::kLocalOrShuffle:
-      return std::make_unique<LocalOrShuffleRouter>(
-          placement.local_instances(edge.to, src_server), fanout, seed);
+    case GroupingType::kLocalOrShuffle: {
+      const bool local = edge.grouping == GroupingType::kLocalOrShuffle;
+      Router r(local ? Kind::kLocalOrShuffle : Kind::kShuffle, 0, fanout);
+      if (local) r.instances_ = placement.local_instances(edge.to, src_server);
+      if (r.instances_.empty()) {
+        r.instances_.resize(fanout);
+        std::iota(r.instances_.begin(), r.instances_.end(), 0);
+      }
+      // The seed picks a start in [0, fanout), reduced onto the list: over
+      // all instances, or any list whose length divides the fanout, this is
+      // the sequence a fanout-modulo cursor would produce.
+      r.cursor_ = static_cast<std::uint32_t>(mix64(seed) % fanout %
+                                             r.instances_.size());
+      return r;
+    }
     case GroupingType::kFields:
       switch (fields_mode) {
         case FieldsRouting::kHash:
-          return std::make_unique<HashFieldsRouter>(edge.key_field, fanout);
-        case FieldsRouting::kPermutation:
+          return Router(edge.key_field, fanout);
+        case FieldsRouting::kPermutation: {
           // Seeded per edge (not per emitting instance): all emitters of one
           // edge must agree on the key -> instance map or stateful routing
           // breaks.
-          return std::make_unique<PermutationFieldsRouter>(
-              edge.key_field, fanout, /*seed=*/0x9d5f + edge_index * 7919);
-        case FieldsRouting::kTable:
-          if (table == nullptr) {
-            table = std::make_shared<const RoutingTable>();
+          Router r(Kind::kPermutation, edge.key_field, fanout);
+          r.instances_.resize(fanout);
+          std::iota(r.instances_.begin(), r.instances_.end(), 0);
+          Rng rng(0x9d5f + edge_index * 7919);
+          for (std::uint32_t i = fanout; i > 1; --i) {
+            std::swap(r.instances_[i - 1], r.instances_[rng.below(i)]);
           }
-          return std::make_unique<TableFieldsRouter>(edge.key_field, fanout,
-                                                     std::move(table));
+          return r;
+        }
+        case FieldsRouting::kTable:
+          return Router(edge.key_field, fanout, std::move(table));
         case FieldsRouting::kIdentity:
-          return std::make_unique<IdentityFieldsRouter>(edge.key_field, fanout,
-                                                        /*offset=*/0);
-        case FieldsRouting::kWorstCase:
-          // Rotation by edge_index + 1: every hop lands off-server for
-          // aligned keys, and consecutive hops disagree so correlated keys
-          // never end up co-located.
-          return std::make_unique<IdentityFieldsRouter>(
-              edge.key_field, fanout, /*offset=*/edge_index + 1);
-        case FieldsRouting::kPartialKey:
-          return std::make_unique<PartialKeyRouter>(edge.key_field, fanout);
+        case FieldsRouting::kWorstCase: {
+          Router r(Kind::kIdentity, edge.key_field, fanout);
+          // Worst case rotates by edge_index + 1: every hop lands off-server
+          // for aligned keys, and consecutive hops disagree so correlated
+          // keys never end up co-located.
+          if (fields_mode == FieldsRouting::kWorstCase) {
+            r.offset_ = edge_index + 1;
+          }
+          return r;
+        }
+        case FieldsRouting::kPartialKey: {
+          Router r(Kind::kPartialKey, edge.key_field, fanout);
+          r.sent_.assign(fanout, 0);
+          return r;
+        }
       }
       break;
   }
   LAR_CHECK(false && "unreachable: unknown grouping");
-  return nullptr;
+  return Router(0, fanout);
 }
 
 }  // namespace lar

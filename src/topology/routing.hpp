@@ -2,13 +2,15 @@
 // (Section 3.3).
 //
 // A Router decides, for each tuple a POI emits on an edge, which instance of
-// the recipient PO receives it.  Router objects are created per
-// (edge, emitting POI), so they know their source server at construction and
-// need no synchronization: in the threaded runtime each POI thread owns its
-// routers; in the simulator everything is single-threaded.
+// the recipient PO receives it.  Routers are created per (edge, emitting
+// POI), so they know their source server at construction and need no
+// synchronization: in the threaded runtime each POI thread owns its routers;
+// in the simulator everything is single-threaded.  Both substrates route
+// through this one implementation.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -180,7 +182,7 @@ class RoutingTable {
   std::uint64_t version_ = 0;
 };
 
-/// How fields-grouped edges pick instances; selects the Router subclass.
+/// How fields-grouped edges pick instances; selects the Router discipline.
 enum class FieldsRouting {
   kHash,         ///< mix64(key) % fanout — Storm's default (baseline)
   kPermutation,  ///< balanced pseudo-random permutation of key % fanout —
@@ -206,160 +208,144 @@ enum class FieldsRouting {
   return "?";
 }
 
-/// Per-(edge, source POI) routing decision object.
+/// The two hash-chosen candidates of partial key grouping for `key` (h1 may
+/// equal h2): two independent hash functions via distinct mixing constants.
+[[nodiscard]] inline std::array<InstanceIndex, 2> pkg_candidates(
+    Key key, std::uint32_t fanout) noexcept {
+  return {static_cast<InstanceIndex>(mix64(key) % fanout),
+          static_cast<InstanceIndex>(mix64(key ^ 0x9e3779b97f4a7c15ULL) %
+                                     fanout)};
+}
+
+/// Per-(edge, emitting POI) routing decision: one concrete value type for
+/// every discipline, used by the threaded runtime and the simulator alike.
+///
+/// A kind tag selects the arm of route()'s switch:
+///   * shuffle and local-or-shuffle rotate a cursor over an instance list —
+///     all instances, the elastic active set, or the instances co-located
+///     with the emitter (all instances when none is);
+///   * hash, permutation (the list holds the permutation) and identity
+///     (offset 0, or edge index + 1 for the worst case) map the key;
+///   * table routes through a shared RoutingTable with hash fallback;
+///   * partial key (Nasir et al., ICDE'15 — the paper's §5.2 related work)
+///     and the table's split keys (lar::split) both pick the least-loaded
+///     candidate by this emitter's sent counters, first-listed winning ties.
+///     PKG's candidates are {h1, h2}, so the tie rule is PKG's `<=`.
+///     PKG balances skewed keys but splits per-key state over two instances
+///     and ignores locality — the contrast that motivates the paper's
+///     correlation-aware tables.
 class Router {
  public:
-  virtual ~Router() = default;
+  /// Fields grouping on `key_field` by hash (null `table`) or by `table`
+  /// with hash fallback.
+  Router(std::uint32_t key_field, std::uint32_t fanout,
+         std::shared_ptr<const RoutingTable> table = nullptr);
 
   /// Destination instance index of the recipient PO for `tuple`.
-  [[nodiscard]] virtual InstanceIndex route(const Tuple& tuple) = 0;
+  [[nodiscard]] InstanceIndex route(const Tuple& tuple) {
+    switch (kind_) {
+      case Kind::kShuffle:
+      case Kind::kLocalOrShuffle: {
+        const InstanceIndex out = instances_[cursor_];
+        if (++cursor_ == instances_.size()) cursor_ = 0;
+        return out;
+      }
+      case Kind::kHash:
+        return hash_instance(key_of(tuple), fanout_);
+      case Kind::kPermutation:
+        return instances_[key_of(tuple) % fanout_];
+      case Kind::kIdentity:
+        return static_cast<InstanceIndex>((key_of(tuple) + offset_) % fanout_);
+      case Kind::kTable: {
+        const Key key = key_of(tuple);
+        return table_->has_splits() ? route_split(key)
+                                    : table_->route(key, fanout_);
+      }
+      case Kind::kPartialKey:
+        return least_loaded(pkg_candidates(key_of(tuple), fanout_));
+    }
+    return 0;  // unreachable
+  }
 
-  /// Installs a new routing table; no-op for non-table routers.
-  virtual void set_table(std::shared_ptr<const RoutingTable> /*table*/) {}
+  /// Routes this fields edge by `table` from now on, whatever it routed by
+  /// before, with the sent counters zeroed so post-swap choices are a pure
+  /// function of the new table and the post-swap tuple sequence.
+  void set_table(std::shared_ptr<const RoutingTable> table);
 
-  /// Restricts non-keyed routing to `instances` (ascending, non-empty) —
-  /// used by elasticity to keep shuffle traffic off dormant or retiring
-  /// instances.  No-op for keyed routers, whose restriction rides in the
-  /// routing-table fallback domain instead.
-  virtual void set_active_instances(
-      const std::vector<InstanceIndex>& /*instances*/) {}
-};
-
-/// Round-robin over all instances of the recipient PO.
-class ShuffleRouter final : public Router {
- public:
-  ShuffleRouter(std::uint32_t fanout, std::uint64_t seed);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-  void set_active_instances(
-      const std::vector<InstanceIndex>& instances) override;
-
- private:
-  std::uint32_t fanout_;
-  std::uint32_t next_;
-  std::vector<InstanceIndex> actives_;  ///< empty: rotate over full fanout
-};
-
-/// Prefer instances co-located with the emitting POI; round-robin among them,
-/// falling back to global round-robin when no local instance exists.
-class LocalOrShuffleRouter final : public Router {
- public:
-  LocalOrShuffleRouter(std::vector<InstanceIndex> local_instances,
-                       std::uint32_t fanout, std::uint64_t seed);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-
- private:
-  std::vector<InstanceIndex> locals_;
-  std::uint32_t fanout_;
-  std::uint32_t next_;
-};
-
-/// Fields grouping by hash (the Storm default the paper baselines against).
-class HashFieldsRouter final : public Router {
- public:
-  HashFieldsRouter(std::uint32_t key_field, std::uint32_t fanout);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
+  /// Restricts a shuffle router to rotate over `instances` (non-empty) — used
+  /// by elasticity to keep shuffle traffic off dormant or retiring instances.
+  /// Keyed routers restrict through the routing-table fallback domain.
+  void set_active_instances(std::vector<InstanceIndex> instances);
 
  private:
+  enum class Kind : std::uint8_t {
+    kShuffle,
+    kLocalOrShuffle,
+    kHash,
+    kPermutation,
+    kIdentity,
+    kTable,
+    kPartialKey,
+  };
+
+  Router(Kind kind, std::uint32_t key_field, std::uint32_t fanout);
+
+  [[nodiscard]] Key key_of(const Tuple& tuple) const {
+    LAR_CHECK(key_field_ < tuple.fields.size());
+    return tuple.fields[key_field_];
+  }
+
+  /// Table routing once the table has split keys.  Out of line: inlined,
+  /// its candidate loop made route() save a register on every call, which
+  /// cost the hash and identity arms about 1 ns (micro_hotpath).
+  InstanceIndex route_split(Key key);
+
+  InstanceIndex least_loaded(std::span<const InstanceIndex> candidates) {
+    InstanceIndex pick = candidates[0];
+    for (const InstanceIndex c : candidates.subspan(1)) {
+      if (sent_[c] < sent_[pick]) pick = c;
+    }
+    ++sent_[pick];
+    return pick;
+  }
+
+  friend Router make_router(const EdgeSpec&, std::uint32_t, const Topology&,
+                            const Placement&, ServerId, FieldsRouting,
+                            std::shared_ptr<const RoutingTable>,
+                            std::uint64_t);
+
+  Kind kind_;
   std::uint32_t key_field_;
   std::uint32_t fanout_;
-};
-
-/// Fields grouping by raw key value plus a fixed offset.  With offset 0 this
-/// is the synthetic-workload locality oracle (tuple (i, i) stays on server
-/// i); with offset 1 it is the paper's worst case (correlated tuples always
-/// cross the network).
-class IdentityFieldsRouter final : public Router {
- public:
-  IdentityFieldsRouter(std::uint32_t key_field, std::uint32_t fanout,
-                       std::uint32_t offset);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-
- private:
-  std::uint32_t key_field_;
-  std::uint32_t fanout_;
-  std::uint32_t offset_;
-};
-
-/// Fields grouping through a seeded pseudo-random permutation of
-/// (key % fanout): balanced like the paper's Java integer hashing but
-/// oblivious to key correlations.  Used as the hash-based baseline on
-/// synthetic workloads whose key universe is as small as the fanout.
-class PermutationFieldsRouter final : public Router {
- public:
-  PermutationFieldsRouter(std::uint32_t key_field, std::uint32_t fanout,
-                          std::uint64_t seed);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-
- private:
-  std::uint32_t key_field_;
-  std::uint32_t fanout_;
-  std::vector<InstanceIndex> perm_;
-};
-
-/// Partial key grouping (Nasir et al., ICDE'15 — the paper's Section 5.2
-/// related work): each key may go to either of two hash-chosen candidate
-/// instances; the emitter picks the one to which it has sent less load so
-/// far.  Balances skewed keys beautifully but (a) splits per-key state over
-/// two instances — only associative aggregations tolerate that — and
-/// (b) is locality-oblivious: the contrast that motivates the paper's
-/// correlation-aware tables.
-class PartialKeyRouter final : public Router {
- public:
-  PartialKeyRouter(std::uint32_t key_field, std::uint32_t fanout);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-
-  /// Resets the per-instance sent counters (deterministically, to zero) so
-  /// post-swap choices don't depend on pre-swap history.  PKG carries no
-  /// table, but reconfiguration swaps still call set_table on every router.
-  void set_table(std::shared_ptr<const RoutingTable> table) override;
-
-  /// The two candidate instances for `key` (h1 may equal h2).
-  [[nodiscard]] std::pair<InstanceIndex, InstanceIndex> candidates(
-      Key key) const noexcept;
-
- private:
-  std::uint32_t key_field_;
-  std::uint32_t fanout_;
+  std::uint32_t offset_ = 0;  ///< identity rotation
+  std::uint32_t cursor_ = 0;  ///< rotation position in instances_
+  std::shared_ptr<const RoutingTable> table_;  ///< table kind only
+  /// Rotation list (shuffle kinds) or permutation of [0, fanout).
+  std::vector<InstanceIndex> instances_;
   std::vector<std::uint64_t> sent_;  ///< per-instance load estimate (local)
 };
 
-/// Fields grouping through an explicit RoutingTable with hash fallback —
-/// the router the locality optimizer drives.  The table is shared (read-only)
-/// and swapped wholesale on reconfiguration.
-///
-/// lar::split: when the table carries split keys, each emitter routes them by
-/// the PKG discipline generalized to d choices — least-loaded candidate by
-/// this router's local sent counters, first-listed candidate winning ties.
-/// Counters reset (to zero) on every set_table so post-swap choices are a
-/// pure function of the new table and the post-swap tuple sequence.
-class TableFieldsRouter final : public Router {
- public:
-  TableFieldsRouter(std::uint32_t key_field, std::uint32_t fanout,
-                    std::shared_ptr<const RoutingTable> table);
-  [[nodiscard]] InstanceIndex route(const Tuple& tuple) override;
-  void set_table(std::shared_ptr<const RoutingTable> table) override;
-
-  [[nodiscard]] const RoutingTable& table() const { return *table_; }
-
- private:
-  std::uint32_t key_field_;
-  std::uint32_t fanout_;
-  std::shared_ptr<const RoutingTable> table_;
-  std::vector<std::uint64_t> sent_;  ///< per-instance load estimate (local)
-};
+// Old names of the hash and table fields routers, kept only because the
+// benchmark's replay probes (perfbench/cpp/probes.cpp) build routers under
+// them; new code says Router.
+using HashFieldsRouter = Router;
+using TableFieldsRouter = Router;
 
 /// Creates the router for `edge` as emitted by an instance on `src_server`.
 ///
 /// `edge_index` is the edge's position in Topology::edges(); the worst-case
 /// router uses it as its offset so that *consecutive* hops disagree (a
 /// single global offset would cancel out along a chain and correlated keys
-/// would stay co-located).  `fields_mode` selects the implementation of
-/// kFields edges; `table` is required for FieldsRouting::kTable (may be an
-/// empty table).  `seed` staggers round-robin start offsets between emitting
-/// instances.
-[[nodiscard]] std::unique_ptr<Router> make_router(
-    const EdgeSpec& edge, std::uint32_t edge_index, const Topology& topology,
-    const Placement& placement, ServerId src_server, FieldsRouting fields_mode,
-    std::shared_ptr<const RoutingTable> table, std::uint64_t seed);
+/// would stay co-located).  `fields_mode` selects the discipline of kFields
+/// edges; for FieldsRouting::kTable a null `table` routes by hash until
+/// set_table (exactly what an empty table does).  `seed` staggers
+/// round-robin start offsets between emitting instances.
+[[nodiscard]] Router make_router(const EdgeSpec& edge,
+                                 std::uint32_t edge_index,
+                                 const Topology& topology,
+                                 const Placement& placement,
+                                 ServerId src_server, FieldsRouting fields_mode,
+                                 std::shared_ptr<const RoutingTable> table,
+                                 std::uint64_t seed);
 
 }  // namespace lar

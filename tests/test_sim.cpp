@@ -281,86 +281,6 @@ TEST(Simulator, ApplyPlanInstallsTables) {
   EXPECT_EQ(sim.model().stats().edge_traffic[1].remote, 0u);
 }
 
-// --- devirtualized routing ---------------------------------------------------
-
-// RouterBank must be decision-for-decision identical to the virtual Router
-// objects the runtime uses, for every grouping, every fields mode, every
-// emitting instance, including the stateful ones (round-robin cursors and
-// partial-key load counters advance per call).
-TEST(RouterBank, MatchesVirtualRoutersAcrossAllModes) {
-  Topology topo;
-  const OperatorId s = topo.add_operator(
-      {.name = "S", .parallelism = 3, .is_source = true});
-  const OperatorId a = topo.add_operator({.name = "A", .parallelism = 5});
-  const OperatorId b = topo.add_operator({.name = "B", .parallelism = 4});
-  const OperatorId c = topo.add_operator({.name = "C", .parallelism = 7});
-  topo.connect(s, a, GroupingType::kFields, /*key_field=*/0);
-  topo.connect(a, b, GroupingType::kShuffle);
-  topo.connect(b, c, GroupingType::kLocalOrShuffle);
-  const Placement place = Placement::round_robin(topo, 3);
-
-  const auto table = std::make_shared<RoutingTable>();
-  for (Key k = 0; k < 40; k += 2) table->assign(k, static_cast<InstanceIndex>(k % 5));
-
-  for (const FieldsRouting mode :
-       {FieldsRouting::kHash, FieldsRouting::kPermutation, FieldsRouting::kTable,
-        FieldsRouting::kIdentity, FieldsRouting::kWorstCase,
-        FieldsRouting::kPartialKey}) {
-    RouterBank bank;
-    std::vector<std::unique_ptr<Router>> routers;
-    std::vector<std::uint32_t> slots;
-    const auto& edges = topo.edges();
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      const std::uint32_t src_par = topo.op(edges[e].from).parallelism;
-      for (InstanceIndex i = 0; i < src_par; ++i) {
-        const ServerId srv = place.server_of(edges[e].from, i);
-        const std::uint64_t seed = 77 * 1000003 + e * 131 + i;
-        routers.push_back(make_router(edges[e], static_cast<std::uint32_t>(e),
-                                      topo, place, srv, mode, table, seed));
-        slots.push_back(bank.add(edges[e], static_cast<std::uint32_t>(e), topo,
-                                 place, srv, mode, table.get(), seed));
-      }
-    }
-    Rng rng(31337);
-    for (int round = 0; round < 4000; ++round) {
-      const Tuple tuple{.fields = {rng.below(64), rng.below(64)}};
-      for (std::size_t r = 0; r < routers.size(); ++r) {
-        ASSERT_EQ(bank.route(slots[r], tuple), routers[r]->route(tuple))
-            << "mode " << static_cast<int>(mode) << " router " << r
-            << " round " << round;
-      }
-    }
-  }
-}
-
-// A bank descriptor created without a table (hash fallback) must behave like
-// make_router's empty-table TableFieldsRouter, and installing a table
-// mid-stream must switch both identically.
-TEST(RouterBank, NullTableFallsBackToHashAndSetTableSwitches) {
-  const Topology topo = make_two_stage_topology(4);
-  const Placement place = Placement::round_robin(topo, 4);
-  const EdgeSpec& edge = topo.edges()[1];  // A -> B, fields
-  RouterBank bank;
-  const std::uint32_t slot =
-      bank.add(edge, 1, topo, place, place.server_of(edge.from, 0),
-               FieldsRouting::kTable, /*table=*/nullptr, /*seed=*/5);
-  auto router = make_router(edge, 1, topo, place, place.server_of(edge.from, 0),
-                            FieldsRouting::kTable, nullptr, /*seed=*/5);
-  Rng rng(11);
-  for (int i = 0; i < 500; ++i) {
-    const Tuple t{.fields = {rng.next(), rng.next()}};
-    ASSERT_EQ(bank.route(slot, t), router->route(t));
-  }
-  auto table = std::make_shared<RoutingTable>();
-  for (Key k = 0; k < 32; ++k) table->assign(k, static_cast<InstanceIndex>((k + 1) % 4));
-  bank.set_table(slot, table.get());
-  router->set_table(table);
-  for (int i = 0; i < 500; ++i) {
-    const Tuple t{.fields = {rng.below(64), rng.below(64)}};
-    ASSERT_EQ(bank.route(slot, t), router->route(t));
-  }
-}
-
 // run_window feeds tuples through process_batch; the reports (and the raw
 // traffic counters) must be bit-identical to an unbatched twin model fed one
 // tuple at a time from an identically seeded generator.

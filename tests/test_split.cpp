@@ -20,7 +20,6 @@
 #include "core/manager.hpp"
 #include "core/snapshot.hpp"
 #include "runtime/engine.hpp"
-#include "sim/route_desc.hpp"
 #include "sketch/exact_counter.hpp"
 #include "sketch/zipf.hpp"
 #include "split/degree.hpp"
@@ -234,7 +233,7 @@ TEST(SplitRouting, TableRouterRunsLeastLoadedOverTheCandidates) {
   auto table = std::make_shared<RoutingTable>();
   table->assign_split(7, std::vector<InstanceIndex>{1, 3});
   table->assign(5, 2);
-  TableFieldsRouter r(0, 4, table);
+  Router r(0, 4, table);
 
   // Equal counters: the first-listed candidate wins the tie, then the
   // counters alternate the choices — PKG's discipline, d-generalized.
@@ -254,52 +253,16 @@ TEST(SplitRouting, TableRouterRunsLeastLoadedOverTheCandidates) {
 TEST(SplitRouting, SentCountersResetDeterministicallyOnSwap) {
   auto table = std::make_shared<RoutingTable>();
   table->assign_split(7, std::vector<InstanceIndex>{0, 2, 3});
-  TableFieldsRouter swapped(0, 4, table);
+  Router swapped(0, 4, table);
   Tuple hot{.fields = {7}, .padding = 0};
   for (int i = 0; i < 101; ++i) (void)swapped.route(hot);  // skew history
 
   // After the swap, the choice sequence equals a fresh router's: post-swap
   // decisions are a pure function of the new table and post-swap tuples.
   swapped.set_table(table);
-  TableFieldsRouter fresh(0, 4, table);
+  Router fresh(0, 4, table);
   for (int i = 0; i < 50; ++i) {
     ASSERT_EQ(swapped.route(hot), fresh.route(hot)) << "step " << i;
-  }
-}
-
-TEST(SplitRouting, VirtualAndBankRoutersAgreeOnSplitTables) {
-  const std::uint32_t n = 4;
-  const Topology topo = make_two_stage_topology(n);
-  const Placement place = Placement::round_robin(topo, n);
-  const EdgeSpec& edge = topo.edges()[1];
-
-  auto table = std::make_shared<RoutingTable>();
-  table->assign_split(3, std::vector<InstanceIndex>{0, 2});
-  table->assign_split(9, std::vector<InstanceIndex>{1, 3, 0});
-  table->assign(4, 2);
-
-  TableFieldsRouter router(edge.key_field, n, table);
-  sim::RouterBank bank;
-  const std::uint32_t slot =
-      bank.add(edge, 1, topo, place, place.server_of(edge.from, 0),
-               FieldsRouting::kTable, table.get(), /*seed=*/9);
-
-  Rng rng(404);
-  for (int i = 0; i < 4000; ++i) {
-    const Key k = rng.below(12);
-    Tuple t{.fields = {0, k}, .padding = 0};
-    ASSERT_EQ(bank.route(slot, t), router.route(t)) << "tuple " << i;
-  }
-
-  // Swapping resets both sides' counters the same way.
-  auto table2 = std::make_shared<RoutingTable>();
-  table2->assign_split(9, std::vector<InstanceIndex>{2, 1});
-  router.set_table(table2);
-  bank.set_table(slot, table2.get());
-  for (int i = 0; i < 2000; ++i) {
-    const Key k = rng.below(12);
-    Tuple t{.fields = {0, k}, .padding = 0};
-    ASSERT_EQ(bank.route(slot, t), router.route(t)) << "post-swap tuple " << i;
   }
 }
 

@@ -1,6 +1,9 @@
 // Unit tests for the application model: topology, placement, routing.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdlib>
+#include <memory>
 #include <set>
 
 #include "common/rng.hpp"
@@ -188,8 +191,25 @@ TEST(Routing, HashInstanceIsDeterministicAndInRange) {
   }
 }
 
+/// The router of the single edge S(1) -> T(`fanout`) under `grouping`, as
+/// emitted from `src_server` of a round-robin placement on `servers`.
+Router edge_router(GroupingType grouping, FieldsRouting mode,
+                   std::uint32_t fanout, std::uint32_t servers = 1,
+                   ServerId src_server = 0, std::uint64_t seed = 1,
+                   std::uint32_t edge_index = 0) {
+  Topology topo;
+  const OperatorId s = topo.add_operator(
+      {.name = "S", .parallelism = 1, .is_source = true});
+  const OperatorId t = topo.add_operator({.name = "T", .parallelism = fanout});
+  topo.connect(s, t, grouping, /*key_field=*/1);
+  const Placement place = Placement::round_robin(topo, servers);
+  return make_router(topo.edges()[0], edge_index, topo, place, src_server,
+                     mode, nullptr, seed);
+}
+
 TEST(Routing, ShuffleCoversAllInstancesEvenly) {
-  ShuffleRouter r(4, /*seed=*/9);
+  Router r = edge_router(GroupingType::kShuffle, FieldsRouting::kHash, 4, 1, 0,
+                         /*seed=*/9);
   std::array<int, 4> hits{};
   Tuple t{.fields = {0}, .padding = 0};
   for (int i = 0; i < 400; ++i) ++hits[r.route(t)];
@@ -197,7 +217,9 @@ TEST(Routing, ShuffleCoversAllInstancesEvenly) {
 }
 
 TEST(Routing, LocalOrShufflePrefersLocals) {
-  LocalOrShuffleRouter r({1, 3}, 4, /*seed=*/5);
+  // Server 1 of 2 holds instances {1, 3} of 4.
+  Router r = edge_router(GroupingType::kLocalOrShuffle, FieldsRouting::kHash,
+                         4, 2, /*src_server=*/1, /*seed=*/5);
   Tuple t{.fields = {0}, .padding = 0};
   for (int i = 0; i < 100; ++i) {
     const InstanceIndex d = r.route(t);
@@ -205,8 +227,28 @@ TEST(Routing, LocalOrShufflePrefersLocals) {
   }
 }
 
+TEST(Routing, LocalOrShuffleRotatesEvenlyWhenLocalsDoNotDivideFanout) {
+  // Server 1 of 2 holds instances {1, 3} of 5: no local instance may fall
+  // more than one route behind another in any prefix of the stream.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Router r = edge_router(GroupingType::kLocalOrShuffle, FieldsRouting::kHash,
+                           5, 2, /*src_server=*/1, seed);
+    std::array<int, 5> hits{};
+    Tuple t{.fields = {0}, .padding = 0};
+    for (int i = 0; i < 1000; ++i) {
+      const InstanceIndex d = r.route(t);
+      ASSERT_TRUE(d == 1 || d == 3);
+      ++hits[d];
+      ASSERT_LE(std::abs(hits[1] - hits[3]), 1)
+          << "seed " << seed << " route " << i;
+    }
+  }
+}
+
 TEST(Routing, LocalOrShuffleFallsBackWithoutLocals) {
-  LocalOrShuffleRouter r({}, 3, /*seed=*/5);
+  // Server 3 of 4 holds none of the 3 instances.
+  Router r = edge_router(GroupingType::kLocalOrShuffle, FieldsRouting::kHash,
+                         3, 4, /*src_server=*/3, /*seed=*/5);
   Tuple t{.fields = {0}, .padding = 0};
   std::set<InstanceIndex> seen;
   for (int i = 0; i < 30; ++i) seen.insert(r.route(t));
@@ -214,20 +256,22 @@ TEST(Routing, LocalOrShuffleFallsBackWithoutLocals) {
 }
 
 TEST(Routing, FieldsRoutersUseDeclaredField) {
-  HashFieldsRouter h(1, 5);
+  Router h(1, 5);
   Tuple t{.fields = {42, 77}, .padding = 0};
   EXPECT_EQ(h.route(t), hash_instance(77, 5));
-  IdentityFieldsRouter id(1, 5, 0);
+  Router id =
+      edge_router(GroupingType::kFields, FieldsRouting::kIdentity, 5);
   EXPECT_EQ(id.route(t), 77u % 5u);
-  IdentityFieldsRouter off(1, 5, 2);
+  Router off = edge_router(GroupingType::kFields, FieldsRouting::kWorstCase, 5,
+                           1, 0, 1, /*edge_index=*/1);
   EXPECT_EQ(off.route(t), (77u + 2u) % 5u);
 }
 
 TEST(Routing, PermutationIsBijectiveAndStable) {
-  PermutationFieldsRouter r(0, 6, /*seed=*/3);
+  Router r = edge_router(GroupingType::kFields, FieldsRouting::kPermutation, 6);
   std::set<InstanceIndex> image;
   for (Key k = 0; k < 6; ++k) {
-    Tuple t{.fields = {k}, .padding = 0};
+    Tuple t{.fields = {0, k}, .padding = 0};
     const InstanceIndex d = r.route(t);
     EXPECT_LT(d, 6u);
     image.insert(d);
@@ -239,7 +283,7 @@ TEST(Routing, PermutationIsBijectiveAndStable) {
 TEST(Routing, TableRoutesExplicitKeysAndFallsBackToHash) {
   auto table = std::make_shared<RoutingTable>();
   table->assign(10, 3);
-  TableFieldsRouter r(0, 5, table);
+  Router r(0, 5, table);
   Tuple hit{.fields = {10}, .padding = 0};
   EXPECT_EQ(r.route(hit), 3u);
   Tuple miss{.fields = {11}, .padding = 0};
@@ -249,7 +293,7 @@ TEST(Routing, TableRoutesExplicitKeysAndFallsBackToHash) {
 TEST(Routing, TableHotSwap) {
   auto t1 = std::make_shared<RoutingTable>();
   t1->assign(1, 0);
-  TableFieldsRouter r(0, 4, t1);
+  Router r(0, 4, t1);
   Tuple t{.fields = {1}, .padding = 0};
   EXPECT_EQ(r.route(t), 0u);
   auto t2 = std::make_shared<RoutingTable>();
@@ -279,19 +323,19 @@ TEST(Routing, MakeRouterSelectsImplementations) {
 
   auto id = make_router(fields_edge, 1, topo, place, 0,
                         FieldsRouting::kIdentity, nullptr, 1);
-  EXPECT_EQ(id->route(t), 3u);
+  EXPECT_EQ(id.route(t), 3u);
 
   auto worst = make_router(fields_edge, 1, topo, place, 0,
                            FieldsRouting::kWorstCase, nullptr, 1);
-  EXPECT_EQ(worst->route(t), (3u + 2u) % 4u);  // offset = edge_index + 1
+  EXPECT_EQ(worst.route(t), (3u + 2u) % 4u);  // offset = edge_index + 1
 
   auto hash = make_router(fields_edge, 1, topo, place, 0, FieldsRouting::kHash,
                           nullptr, 1);
-  EXPECT_EQ(hash->route(t), hash_instance(7, 4));
+  EXPECT_EQ(hash.route(t), hash_instance(7, 4));
 
   auto table = make_router(fields_edge, 1, topo, place, 0,
                            FieldsRouting::kTable, nullptr, 1);
-  EXPECT_EQ(table->route(t), hash_instance(7, 4));  // empty table == hash
+  EXPECT_EQ(table.route(t), hash_instance(7, 4));  // empty table == hash
 }
 
 TEST(Routing, WorstCaseDisagreesAcrossConsecutiveEdges) {
@@ -305,7 +349,7 @@ TEST(Routing, WorstCaseDisagreesAcrossConsecutiveEdges) {
                         FieldsRouting::kWorstCase, nullptr, 1);
   for (Key k = 0; k < 16; ++k) {
     Tuple t{.fields = {k, 4 + k}, .padding = 0};  // correlated pair
-    EXPECT_NE(w0->route(t), w1->route(t));
+    EXPECT_NE(w0.route(t), w1.route(t));
   }
 }
 
@@ -316,11 +360,11 @@ namespace lar {
 namespace {
 
 TEST(Routing, PartialKeyUsesOnlyTheTwoCandidates) {
-  PartialKeyRouter r(0, 6);
+  Router r = edge_router(GroupingType::kFields, FieldsRouting::kPartialKey, 6);
   for (Key k = 0; k < 50; ++k) {
-    const auto [h1, h2] = r.candidates(k);
+    const auto [h1, h2] = pkg_candidates(k, 6);
     for (int i = 0; i < 20; ++i) {
-      Tuple t{.fields = {k}, .padding = 0};
+      Tuple t{.fields = {0, k}, .padding = 0};
       const InstanceIndex d = r.route(t);
       EXPECT_TRUE(d == h1 || d == h2) << "key " << k;
     }
@@ -331,14 +375,15 @@ TEST(Routing, PartialKeyBalancesSkewBetterThanHash) {
   // One key carries 60% of the traffic: hash piles it onto one instance;
   // PKG splits it across its two candidates.
   constexpr std::uint32_t kFanout = 4;
-  PartialKeyRouter pkg(0, kFanout);
-  HashFieldsRouter hash(0, kFanout);
+  Router pkg =
+      edge_router(GroupingType::kFields, FieldsRouting::kPartialKey, kFanout);
+  Router hash(1, kFanout);
   std::vector<std::uint64_t> pkg_load(kFanout, 0);
   std::vector<std::uint64_t> hash_load(kFanout, 0);
   Rng rng(71);
   for (int i = 0; i < 40'000; ++i) {
     const Key key = rng.chance(0.6) ? 7 : 100 + rng.below(1000);
-    Tuple t{.fields = {key}, .padding = 0};
+    Tuple t{.fields = {0, key}, .padding = 0};
     ++pkg_load[pkg.route(t)];
     ++hash_load[hash.route(t)];
   }
@@ -347,23 +392,27 @@ TEST(Routing, PartialKeyBalancesSkewBetterThanHash) {
 }
 
 TEST(Routing, PartialKeySentCountersResetOnTableSwap) {
-  // PKG carries no routing table, but reconfiguration swaps still call
-  // set_table on every router: the per-instance sent counters must reset so
-  // post-swap choices are a pure function of post-swap tuples — a swapped
-  // router and a fresh one route the same sequence identically.
-  PartialKeyRouter swapped(0, 6);
+  // A reconfiguration switches every fields router to its new table, PKG
+  // included: the swapped router then routes like a fresh table router —
+  // PKG's counter history must not leak into the split keys' choices.
+  Router swapped =
+      edge_router(GroupingType::kFields, FieldsRouting::kPartialKey, 6);
   Rng rng(71);
   for (int i = 0; i < 5'000; ++i) {  // skew the counter history
     const Key key = rng.chance(0.6) ? 7 : 100 + rng.below(1000);
-    Tuple t{.fields = {key}, .padding = 0};
+    Tuple t{.fields = {0, key}, .padding = 0};
     (void)swapped.route(t);
   }
 
-  swapped.set_table(nullptr);
-  PartialKeyRouter fresh(0, 6);
+  auto table = std::make_shared<RoutingTable>();
+  table->assign_split(7, std::vector<InstanceIndex>{1, 4});
+  table->assign_split(9, std::vector<InstanceIndex>{0, 2, 5});
+  table->assign(3, 3);
+  swapped.set_table(table);
+  Router fresh(1, 6, table);
   for (int i = 0; i < 2'000; ++i) {
     const Key key = rng.chance(0.5) ? 7 : rng.below(64);
-    Tuple t{.fields = {key}, .padding = 0};
+    Tuple t{.fields = {0, key}, .padding = 0};
     ASSERT_EQ(swapped.route(t), fresh.route(t)) << "step " << i;
   }
 }
@@ -374,7 +423,7 @@ TEST(Routing, MakeRouterBuildsPartialKey) {
   auto r = make_router(topo.edges()[1], 1, topo, place, 0,
                        FieldsRouting::kPartialKey, nullptr, 1);
   Tuple t{.fields = {1, 9}, .padding = 0};
-  EXPECT_LT(r->route(t), 4u);
+  EXPECT_LT(r.route(t), 4u);
 }
 
 // --- Golden routing decisions ----------------------------------------------------
@@ -386,8 +435,9 @@ TEST(Routing, MakeRouterBuildsPartialKey) {
 
 /// S(3) -fields0-> A(5) -shuffle-> B(4) -local-> C(6) -local-> D(2)
 /// -fields1-> E(4) on 3 round-robin servers.  Every local list divides its
-/// fanout (C has 2 instances per server), and D's instance-less server 2
-/// makes C's emitters there fall back to rotating over all of D.
+/// fanout (C has 2 instances per server; the uneven case has its own test
+/// above), and D's instance-less server 2 makes C's emitters there fall back
+/// to rotating over all of D.
 Topology golden_topology() {
   Topology topo;
   const OperatorId s = topo.add_operator(
@@ -406,8 +456,8 @@ Topology golden_topology() {
 }
 
 constexpr FieldsRouting kAllModes[] = {
-    FieldsRouting::kHash,     FieldsRouting::kPermutation,
-    FieldsRouting::kTable,    FieldsRouting::kIdentity,
+    FieldsRouting::kHash,      FieldsRouting::kPermutation,
+    FieldsRouting::kTable,     FieldsRouting::kIdentity,
     FieldsRouting::kWorstCase, FieldsRouting::kPartialKey};
 
 /// Plain assignments for even keys below 40.
@@ -458,7 +508,7 @@ TEST(RouterGolden, EveryGroupingModeAndEmitter) {
       1907328634575706951u, 3903588736889198141u,  13383607964897889783u,
       9479741248517275532u, 1242868677553118918u, 13883382953588246417u};
   for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
-    std::vector<std::unique_ptr<Router>> routers;
+    std::vector<Router> routers;
     for (std::uint32_t e = 0; e < topo.edges().size(); ++e) {
       const EdgeSpec& edge = topo.edges()[e];
       for (InstanceIndex i = 0; i < topo.op(edge.from).parallelism; ++i) {
@@ -472,9 +522,10 @@ TEST(RouterGolden, EveryGroupingModeAndEmitter) {
     Rng rng(31337);
     for (int round = 0; round < 4000; ++round) {
       const Tuple tuple = golden_tuple(rng);
-      for (auto& r : routers) h = hash_combine(h, mix64(r->route(tuple)));
+      for (Router& r : routers) h = hash_combine(h, mix64(r.route(tuple)));
     }
-    EXPECT_EQ(h, expected[m]) << "mode " << to_string(kAllModes[m]) << " #" << m;
+    EXPECT_EQ(h, expected[m])
+        << "mode #" << m << " (" << to_string(kAllModes[m]) << ")";
   }
 }
 
@@ -498,21 +549,20 @@ TEST(RouterGolden, SetTableFromEveryKind) {
                              place.server_of(edge.from, i), kAllModes[m],
                              nullptr, /*seed=*/5 + i);
         for (int n = 0; n < 500; ++n) {
-          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+          h = hash_combine(h, mix64(r.route(golden_tuple(rng))));
         }
-        r = std::make_unique<TableFieldsRouter>(
-            edge.key_field, fanout, golden_split_table(fanout, 9 + i, true));
+        r.set_table(golden_split_table(fanout, 9 + i, true));
         for (int n = 0; n < 1500; ++n) {
-          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+          h = hash_combine(h, mix64(r.route(golden_tuple(rng))));
         }
-        r = std::make_unique<TableFieldsRouter>(
-            edge.key_field, fanout, golden_split_table(fanout, 99 + i, false));
+        r.set_table(golden_split_table(fanout, 99 + i, false));
         for (int n = 0; n < 500; ++n) {
-          h = hash_combine(h, mix64(r->route(golden_tuple(rng))));
+          h = hash_combine(h, mix64(r.route(golden_tuple(rng))));
         }
       }
     }
-    EXPECT_EQ(h, expected[m]) << "mode " << to_string(kAllModes[m]) << " #" << m;
+    EXPECT_EQ(h, expected[m])
+        << "mode #" << m << " (" << to_string(kAllModes[m]) << ")";
   }
 }
 
@@ -525,11 +575,11 @@ TEST(RouterGolden, ShuffleRestrictedTwice) {
     auto r = make_router(edge, 1, topo, place, place.server_of(edge.from, i),
                          FieldsRouting::kTable, nullptr, /*seed=*/13 + i);
     const Tuple t = Tuple{.fields = {0, 0}};
-    for (int n = 0; n < 37; ++n) h = hash_combine(h, mix64(r->route(t)));
-    r->set_active_instances({0, 2, 3});
-    for (int n = 0; n < 53; ++n) h = hash_combine(h, mix64(r->route(t)));
-    r->set_active_instances({1, 2});
-    for (int n = 0; n < 41; ++n) h = hash_combine(h, mix64(r->route(t)));
+    for (int n = 0; n < 37; ++n) h = hash_combine(h, mix64(r.route(t)));
+    r.set_active_instances({0, 2, 3});
+    for (int n = 0; n < 53; ++n) h = hash_combine(h, mix64(r.route(t)));
+    r.set_active_instances({1, 2});
+    for (int n = 0; n < 41; ++n) h = hash_combine(h, mix64(r.route(t)));
   }
   EXPECT_EQ(h, 10360865032653544577u);
 }
@@ -545,11 +595,11 @@ TEST(RouterGolden, SplitTablesOfDegreeTwoAndThreeWithSwap) {
                          FieldsRouting::kTable,
                          golden_split_table(4, 21 + i, false), /*seed=*/9);
     for (int n = 0; n < 4000; ++n) {
-      h = hash_combine(h, mix64(r->route(Tuple{.fields = {0, rng.below(48)}})));
+      h = hash_combine(h, mix64(r.route(Tuple{.fields = {0, rng.below(48)}})));
     }
-    r->set_table(golden_split_table(4, 31 + i, false));
+    r.set_table(golden_split_table(4, 31 + i, false));
     for (int n = 0; n < 2000; ++n) {
-      h = hash_combine(h, mix64(r->route(Tuple{.fields = {0, rng.below(48)}})));
+      h = hash_combine(h, mix64(r.route(Tuple{.fields = {0, rng.below(48)}})));
     }
   }
   EXPECT_EQ(h, 5210552211190483204u);
