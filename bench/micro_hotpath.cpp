@@ -7,7 +7,7 @@
 //   * route() cost per routing discipline, split tables included;
 //   * SpaceSaving::add throughput (the per-tuple statistics cost);
 //   * FlatMap vs std::unordered_map probe cost;
-//   * channel hand-off: shared queue vs SPSC lane vs batched lane.
+//   * channel hand-off: unlaned control push vs SPSC lane vs batched lane.
 //
 // Every timed pair doubles as a differential test: the seed table and the
 // Router must produce identical decision checksums, FlatMap must agree with
@@ -337,11 +337,11 @@ int main(int argc, char** argv) {
                 points[points.size() - 2].checksum, points.back().checksum);
   }
 
-  // --- channel hand-off: shared MPSC queue vs SPSC lane vs batched lane -----
+  // --- channel hand-off: unlaned MPSC control vs SPSC lane vs batched lane --
   //
   // The runtime's per-hop cost (DESIGN.md §13), measured single-threaded in
   // push/pop chunks so the numbers isolate the hand-off mechanism itself:
-  // mutex+deque (the seed's only path, still the control plane), an SPSC
+  // the unlaned control push (mutex + deque, any producer), an SPSC
   // ring lane publishing every push (batch 1 — the degenerate batch, same
   // per-item visibility as the old queue), the same lane publishing every
   // 32 pushes (the engine's default lane_batch) but popped one item at a
@@ -353,19 +353,19 @@ int main(int argc, char** argv) {
     const std::uint64_t chunks = std::max<std::uint64_t>(ops / kChunk, 1);
     const std::uint64_t n = chunks * kChunk;
     {
-      runtime::Channel<std::uint64_t> ch(kChunk);
+      runtime::Channel<std::uint64_t> ch;
       points.push_back(timed("channel_mpsc_push_pop", n, [&] {
         std::uint64_t sum = 0;
         std::uint64_t v = 1;
         for (std::uint64_t c = 0; c < chunks; ++c) {
-          for (std::uint64_t k = 0; k < kChunk; ++k) ch.push(v++);
+          for (std::uint64_t k = 0; k < kChunk; ++k) ch.push_unbounded(v++);
           for (std::uint64_t k = 0; k < kChunk; ++k) sum += *ch.try_pop();
         }
         return sum;
       }));
     }
     {
-      runtime::Channel<std::uint64_t> ch(kChunk);
+      runtime::Channel<std::uint64_t> ch;
       const std::uint32_t lane = ch.add_lane(kChunk);
       points.push_back(timed("channel_spsc_lane_push_pop", n, [&] {
         std::uint64_t sum = 0;
@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
       }));
     }
     {
-      runtime::Channel<std::uint64_t> ch(kChunk);
+      runtime::Channel<std::uint64_t> ch;
       const std::uint32_t lane = ch.add_lane(kChunk);
       ch.set_lane_batch(32);
       points.push_back(timed("channel_batched_push_pop", n, [&] {
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
       }));
     }
     {
-      runtime::Channel<std::uint64_t> ch(kChunk);
+      runtime::Channel<std::uint64_t> ch;
       const std::uint32_t lane = ch.add_lane(kChunk);
       ch.set_lane_batch(32);
       std::vector<std::uint64_t> run;

@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh            # configure + build (zero warnings), full
 #                               # ctest, TSan obs+chaos+elastic+ckpt+queue+
-#                               # split+fleet+runtime, ASan ckpt+queue+split+
-#                               # fleet+runtime,
+#                               # split+fleet+runtime, ASan chaos+ckpt+queue+
+#                               # split+fleet+runtime,
 #                               # perf smoke, runtime throughput floor +
 #                               # batch equivalence, obs v2 byte-identity,
 #                               # elasticity + checkpoint + split + fleet
@@ -38,10 +38,10 @@ cmake -B build-tsan -G Ninja -DLAR_SANITIZE=thread >/dev/null
 cmake --build build-tsan >/dev/null
 ctest --test-dir build-tsan -L 'obs|chaos|elastic|ckpt|queue|split|fleet|runtime' --output-on-failure
 
-log "AddressSanitizer+UBSan: ckpt + queue + split + fleet + runtime (crash recovery frees/respawns state under load; lane slot reuse; boxed control messages; replica partials; tenant slices)"
+log "AddressSanitizer+UBSan: chaos + ckpt + queue + split + fleet + runtime (crash recovery frees/respawns state under load; delay stashes hold and free data suffixes; lane slot reuse; boxed control messages; replica partials; tenant slices)"
 cmake -B build-asan -G Ninja -DLAR_SANITIZE=address >/dev/null
 cmake --build build-asan >/dev/null
-ctest --test-dir build-asan -L 'ckpt|queue|split|fleet|runtime' --output-on-failure
+ctest --test-dir build-asan -L 'chaos|ckpt|queue|split|fleet|runtime' --output-on-failure
 
 log "perf smoke (seed-table vs Router table, flat-map and channel hand-off differential checks)"
 ./build/bench/micro_hotpath --ops 20000 >/dev/null

@@ -58,7 +58,6 @@ Registry::Instrument& Registry::intern(std::string_view name, Labels labels,
             [](const Label& a, const Label& b) { return a.key < b.key; });
   std::string label_key = canonical_label_key(labels);
 
-  std::lock_guard lock(mutex_);
   auto fam_it = families_.find(name);
   if (fam_it == families_.end()) {
     fam_it = families_
@@ -75,17 +74,17 @@ Registry::Instrument& Registry::intern(std::string_view name, Labels labels,
 
 Counter& Registry::counter(std::string_view name, Labels labels,
                            std::string_view help) {
+  std::lock_guard lock(mutex_);
   Instrument& ins =
       intern(name, std::move(labels), help, MetricKind::kCounter);
-  std::lock_guard lock(mutex_);
   if (!ins.counter) ins.counter = std::make_unique<Counter>();
   return *ins.counter;
 }
 
 Gauge& Registry::gauge(std::string_view name, Labels labels,
                        std::string_view help) {
-  Instrument& ins = intern(name, std::move(labels), help, MetricKind::kGauge);
   std::lock_guard lock(mutex_);
+  Instrument& ins = intern(name, std::move(labels), help, MetricKind::kGauge);
   if (!ins.gauge) ins.gauge = std::make_unique<Gauge>();
   return *ins.gauge;
 }
@@ -93,9 +92,9 @@ Gauge& Registry::gauge(std::string_view name, Labels labels,
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> upper_bounds, Labels labels,
                                std::string_view help) {
+  std::lock_guard lock(mutex_);
   Instrument& ins =
       intern(name, std::move(labels), help, MetricKind::kHistogram);
-  std::lock_guard lock(mutex_);
   if (!ins.histogram) {
     ins.histogram = std::make_unique<Histogram>(std::move(upper_bounds));
   }

@@ -198,6 +198,9 @@ class Registry {
     std::map<std::string, Instrument> by_labels;  // key: canonical label text
   };
 
+  /// Finds or creates the (name, labels) slot; mutex_ held.  The caller
+  /// creates the instrument under the same hold, so families() never sees
+  /// a slot without one.
   Instrument& intern(std::string_view name, Labels labels,
                      std::string_view help, MetricKind kind);
 

@@ -48,9 +48,8 @@ void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n,
 // ---------------------------------------------------------------------------
 
 struct Engine::Poi {
-  Poi(OperatorId op_id, InstanceIndex idx, ServerId srv,
-      std::size_t queue_capacity)
-      : op(op_id), index(idx), server(srv), inbox(queue_capacity) {}
+  Poi(OperatorId op_id, InstanceIndex idx, ServerId srv)
+      : op(op_id), index(idx), server(srv) {}
 
   const OperatorId op;
   const InstanceIndex index;
@@ -148,8 +147,14 @@ struct Engine::Poi {
   };
   std::vector<std::uint64_t> out_seq;  ///< [target flat] last seq, 0 = none
   std::vector<LinkCursor> last_seq;    ///< [link_slot(producer)]
-  std::unordered_map<std::uint32_t, std::vector<DataMsg>>
-      delayed;  ///< producer flat -> held link suffix (FIFO within the link)
+  /// A chaos-held link suffix (FIFO within the link) and the inbox drain
+  /// mark recorded when it opened: it is delivered once the POI has popped
+  /// everything published before that point, or earlier on any control.
+  struct DelayStash {
+    std::vector<DataMsg> held;
+    std::vector<std::uint64_t> mark;
+  };
+  std::unordered_map<std::uint32_t, DelayStash> delayed;  ///< by producer flat
 
   std::size_t pending_count = 0;  ///< in-memory buffered tuples (cap basis)
   std::unordered_map<Key, std::vector<std::vector<std::byte>>>
@@ -180,8 +185,10 @@ struct Engine::Poi {
       align_stash;  ///< post-barrier suffix held per blocked link (FIFO)
   /// [target flat] sends since the last committed epoch.
   std::vector<std::vector<DataMsg>> replay_out;
-  /// [target flat] out cursors at the last snapshot (commit truncation).
+  /// [target flat] out cursors at the last snapshot (commit truncation),
+  /// and that snapshot's epoch (0 = none since the last restore).
   std::vector<std::uint64_t> snap_out;
+  std::uint64_t snap_epoch = 0;
   std::unordered_set<std::uint32_t> replay_pending;  ///< links mid-replay
   std::unordered_map<std::uint32_t, std::vector<DataMsg>>
       replay_stash;  ///< everything held on a pending link until ReplayEnd
@@ -202,15 +209,9 @@ Engine::Engine(const Topology& topology, const Placement& placement,
     : topology_(topology),
       placement_(placement),
       options_(options),
-      factory_(std::move(factory)),
-      manager_inbox_(1 << 16) {
+      factory_(std::move(factory)) {
   LAR_CHECK(topology.validate().is_ok());
   LAR_CHECK(factory_ != nullptr);
-
-  // Manager replies are control-plane: they must never take a bounded push
-  // (a POI thread blocking on the manager's inbox while the manager waits
-  // for that very reply would deadlock the protocol).
-  manager_inbox_.set_push_validator([](const ManagerReply&) { return false; });
 
   anchors_ = compute_stats_anchors(topology);
   sources_ = topology.sources();
@@ -245,12 +246,13 @@ Engine::Engine(const Topology& topology, const Placement& placement,
     poi_index_[op].resize(parallelism);
     for (InstanceIndex i = 0; i < parallelism; ++i) {
       poi_index_[op][i] = pois_.size();
-      pois_.push_back(std::make_unique<Poi>(op, i, placement.server_of(op, i),
-                                            options_.queue_capacity));
+      pois_.push_back(
+          std::make_unique<Poi>(op, i, placement.server_of(op, i)));
       Poi& poi = *pois_.back();
       poi.flat = poi_index_[op][i];
-      // Only the data plane may use the bounded (back-pressuring) pushes;
-      // every control message takes push_unbounded (CLAUDE.md invariant).
+      // Only the data plane may use the bounded (back-pressuring) lane_push;
+      // every control message takes push_unbounded or push_unbounded_after
+      // (CLAUDE.md invariant).
       poi.inbox.set_push_validator(
           [](const Message& m) { return std::holds_alternative<DataMsg>(m); });
       poi.logic = factory_(op, i);
@@ -700,6 +702,12 @@ void Engine::poi_loop(Poi& poi) {
   for (;;) {
     run.clear();
     if (!poi.inbox.try_pop_run(run)) {
+      // An empty inbox has passed every delay stash's drain mark: deliver
+      // them all and look again rather than park on held tuples.
+      if (!poi.delayed.empty()) {
+        flush_all_delayed(poi);
+        continue;
+      }
       // Flushing only on the empty-inbox edge (not per message) is what
       // lets batches form while the POI is busy; the per-lane batch bound
       // caps how long a tuple can stay staged meanwhile.
@@ -711,8 +719,9 @@ void Engine::poi_loop(Poi& poi) {
     // alone, so returning on it never strands a taken item.
     for (Message& msg : run) {
       if (std::holds_alternative<ShutdownMsg>(msg)) {
-        // Same rule on exit: a retired POI's staged batch would otherwise be
-        // stranded with it while its targets live on.
+        // Same rule on exit: a retired POI's held and staged tuples would
+        // otherwise be stranded with it while its targets live on.
+        flush_all_delayed(poi);
         go_idle();
         return;
       }
@@ -733,12 +742,8 @@ void Engine::poi_loop(Poi& poi) {
         for (std::uint32_t i = 0; i < yields; ++i) std::this_thread::yield();
       }
       dispatch(poi, std::move(msg));
-      // A delay stash opened by this item queued its FlushDelayedMsg on the
-      // shared queue, which a one-item pop served next.  Flush it here, so
-      // the rest of the run meets the same stash state (the queued message
-      // then finds nothing to flush).
-      if (inj != nullptr && !poi.delayed.empty()) flush_all_delayed(poi);
     }
+    if (!poi.delayed.empty()) flush_delayed(poi, /*all=*/false);
   }
 }
 
@@ -750,33 +755,24 @@ void Engine::dispatch(Poi& poi, Message&& msg) {
         // wave relies on a predecessor's pre-switch data being processed
         // before its PROPAGATE, and injected delays must not outlive that
         // ordering.
+        if constexpr (!std::is_same_v<T, DataMsg>) flush_all_delayed(poi);
         if constexpr (std::is_same_v<T, DataMsg>) {
           handle_data(poi, std::move(m));
-        } else if constexpr (std::is_same_v<T, FlushDelayedMsg>) {
-          flush_delayed(poi, m.link);
         } else if constexpr (std::is_same_v<T, GetMetricsMsg>) {
-          flush_all_delayed(poi);
           send_metrics(poi);
         } else if constexpr (std::is_same_v<T, std::unique_ptr<ReconfMsg>>) {
-          flush_all_delayed(poi);
           handle_reconf(poi, std::move(*m));
         } else if constexpr (std::is_same_v<T, PropagateMsg>) {
-          flush_all_delayed(poi);
           handle_propagate(poi, m);
         } else if constexpr (std::is_same_v<T, MigrateMsg>) {
-          flush_all_delayed(poi);
           handle_migrate(poi, std::move(m));
         } else if constexpr (std::is_same_v<T, BarrierMsg>) {
-          flush_all_delayed(poi);
           handle_barrier(poi, m);
         } else if constexpr (std::is_same_v<T, CheckpointCommitMsg>) {
-          flush_all_delayed(poi);
           handle_commit(poi, m);
         } else if constexpr (std::is_same_v<T, ReplayRequestMsg>) {
-          flush_all_delayed(poi);
           handle_replay_request(poi, m);
         } else if constexpr (std::is_same_v<T, ReplayEndMsg>) {
-          flush_all_delayed(poi);
           handle_replay_end(poi, m);
         }
       },
@@ -821,16 +817,17 @@ void Engine::handle_data(Poi& poi, DataMsg msg) {
       // A held link stashes its *whole suffix* — per-producer FIFO is
       // preserved by construction, the delay never reorders within a link.
       if (auto it = poi.delayed.find(from); it != poi.delayed.end()) {
-        it->second.push_back(std::move(msg));
+        it->second.held.push_back(std::move(msg));
         return;
       }
       if (inj->fire(chaos::FaultSite::kChannelDelay,
                     link_entity(from, poi.flat))) {
-        poi.delayed[from].push_back(std::move(msg));
-        // The sentinel flushes the stash once the inbox contents present
-        // now have drained: one logical queue-drain of delay, deadlock-free
-        // because the push ignores the capacity bound.
-        poi.inbox.push_unbounded(Message{FlushDelayedMsg{from}});
+        // Held until the inbox contents published by now have been popped
+        // (poi_loop checks the mark after every run): one queue-drain of
+        // delay, and no push, so it can never block.
+        Poi::DelayStash& stash = poi.delayed[from];
+        stash.held.push_back(std::move(msg));
+        stash.mark = poi.inbox.drain_mark();
         return;
       }
     }
@@ -892,20 +889,20 @@ void Engine::buffer_tuple(Poi& poi, Key in_key, DataMsg msg) {
   ++poi.pending_count;
 }
 
-void Engine::flush_delayed(Poi& poi, std::uint32_t link) {
-  auto it = poi.delayed.find(link);
-  if (it == poi.delayed.end()) return;  // already force-flushed by control
-  std::vector<DataMsg> held = std::move(it->second);
-  poi.delayed.erase(it);
-  if (options_.injector != nullptr) {
+void Engine::flush_delayed(Poi& poi, bool all) {
+  // deliver_data never touches `delayed`, so the iterator stays valid.
+  for (auto it = poi.delayed.begin(); it != poi.delayed.end();) {
+    if (!all && !poi.inbox.drained_past(it->second.mark)) {
+      ++it;
+      continue;
+    }
+    const std::uint32_t link = it->first;
+    std::vector<DataMsg> held = std::move(it->second.held);
+    it = poi.delayed.erase(it);
     options_.injector->recovery("delay_flush", link_entity_str(link, poi.flat),
                                 held.size());
+    for (DataMsg& dm : held) deliver_data(poi, std::move(dm));
   }
-  for (DataMsg& dm : held) deliver_data(poi, std::move(dm));
-}
-
-void Engine::flush_all_delayed(Poi& poi) {
-  while (!poi.delayed.empty()) flush_delayed(poi, poi.delayed.begin()->first);
 }
 
 void Engine::process_tuple(Poi& poi, const Tuple& tuple, Key in_key) {
@@ -1159,9 +1156,10 @@ void Engine::run_reconfig_actions(Poi& poi) {
 
 void Engine::handle_migrate(Poi& poi, MigrateMsg msg) {
   chaos::Injector* const inj = options_.injector;
-  // Delayed payload: re-queue behind the inbox's current contents — a
+  // Delayed payload: re-queue at the back of the unlaned control FIFO — a
   // bounded logical backoff (at most `magnitude` redeliveries, each one
-  // queue-drain long), with the tuples for the key buffering meanwhile.
+  // round of the inbox's lanes long), with the tuples for the key
+  // buffering meanwhile.
   if (inj != nullptr &&
       msg.redeliveries < inj->magnitude(chaos::FaultSite::kMigrateDelay) &&
       inj->fire(chaos::FaultSite::kMigrateDelay, msg.key, msg.version)) {
@@ -1795,9 +1793,10 @@ core::ReconfigurationPlan Engine::retire_servers(core::Manager& manager,
   // here guarantees none is stranded behind the shutdowns below.
   drain_fence();
 
-  // The shared queue is served before lane data, so a retiring source's
-  // shutdown goes FIFO-after its injector lane (under the injector's producer
-  // lock): tuples injected before the stop are processed, not stranded.
+  // An unlaned shutdown could overtake injector-lane data, so a retiring
+  // source's shutdown goes FIFO-after its injector lane (under the
+  // injector's producer lock): tuples injected before the stop are
+  // processed, not stranded.
   {
     std::lock_guard<std::mutex> lock(source_mutex_);
     for (auto& poi : pois_) {
@@ -1916,8 +1915,9 @@ std::uint64_t Engine::checkpoint() {
                               std::memory_order_relaxed);
 
   // Commit notification: every live POI truncates its replay buffers at the
-  // watermarks it recorded when snapshotting this epoch.  Per-channel FIFO
-  // guarantees the commit is processed before any barrier of a later epoch.
+  // watermarks it recorded when snapshotting this epoch.  The commit rides
+  // unlaned, so a later epoch's barrier may overtake it; handle_commit then
+  // leaves the buffers for that epoch's own commit.
   for (auto& poi : pois_) {
     if (!poi->active) continue;
     poi->inbox.push_unbounded(Message{CheckpointCommitMsg{epoch}});
@@ -2070,13 +2070,17 @@ void Engine::take_snapshot(Poi& poi, const BarrierMsg& msg) {
     }
   }
   poi.snap_out = poi.out_seq;
+  poi.snap_epoch = msg.epoch;
   options_.checkpoint->store().add(msg.epoch, std::move(pc));
 }
 
-void Engine::handle_commit(Poi& poi, const CheckpointCommitMsg& /*msg*/) {
+void Engine::handle_commit(Poi& poi, const CheckpointCommitMsg& msg) {
   // Truncate each replay buffer at the watermark recorded by this epoch's
   // snapshot.  Buffers are seq-ascending per target, so the cut is a prefix
-  // erase; entries appended since the snapshot survive.
+  // erase; entries appended since the snapshot survive.  A commit that
+  // arrives after this POI already snapshotted a later epoch truncates
+  // nothing — that cut is not committed yet; its own commit truncates it.
+  if (poi.snap_epoch != msg.epoch) return;
   for (std::size_t target = 0; target < poi.replay_out.size(); ++target) {
     std::vector<DataMsg>& buf = poi.replay_out[target];
     const std::uint64_t cut = poi.snap_out[target];
@@ -2277,7 +2281,7 @@ void Engine::crash_and_recover(std::uint32_t server) {
     for (auto& m : p->inbox.drain()) {
       if (std::holds_alternative<DataMsg>(m)) ++dropped;
     }
-    for (const auto& [link, held] : p->delayed) dropped += held.size();
+    for (const auto& [link, stash] : p->delayed) dropped += stash.held.size();
     for (const auto& [link, held] : p->align_stash) dropped += held.size();
     for (const auto& [link, held] : p->replay_stash) dropped += held.size();
     for (const auto& [key, held] : p->pending) dropped += held.size();
@@ -2297,6 +2301,7 @@ void Engine::crash_and_recover(std::uint32_t server) {
     p->replay_pending.clear();
     for (std::vector<DataMsg>& buf : p->replay_out) buf.clear();
     p->snap_out.assign(pois_.size(), 0);
+    p->snap_epoch = 0;
     p->last_seq.assign(pois_.size() + 1, {});
     p->out_seq.assign(pois_.size(), 0);
     // The pre-crash dirty set is scheduling-dependent (how far the thread

@@ -397,8 +397,10 @@ class Engine {
   void handle_data(Poi& poi, DataMsg msg);
   void deliver_data(Poi& poi, DataMsg msg);
   void buffer_tuple(Poi& poi, Key in_key, DataMsg msg);
-  void flush_delayed(Poi& poi, std::uint32_t link);
-  void flush_all_delayed(Poi& poi);
+  /// Delivers the chaos delay stashes whose drain marks the inbox has
+  /// passed — every stash when `all`.
+  void flush_delayed(Poi& poi, bool all);
+  void flush_all_delayed(Poi& poi) { flush_delayed(poi, /*all=*/true); }
   void process_tuple(Poi& poi, const Tuple& tuple, Key in_key);
   void handle_reconf(Poi& poi, ReconfMsg msg);
   void handle_propagate(Poi& poi, const PropagateMsg& msg);

@@ -115,7 +115,8 @@ struct MigrateMsg {
   InstanceIndex from = 0;
 
   /// How many times a chaos-delayed copy of this payload has been re-queued
-  /// behind the receiver's inbox; bounded by the kMigrateDelay magnitude.
+  /// at the back of the receiver's unlaned control FIFO; bounded by the
+  /// kMigrateDelay magnitude.
   std::uint32_t redeliveries = 0;
 
   /// Residual drain (elastic waves): state shipped outside the plan's move
@@ -123,14 +124,6 @@ struct MigrateMsg {
   /// receiver imports it unconditionally (imports are merge-additive) and
   /// acknowledges via the engine's drain fence instead of the awaiting set.
   bool drain = false;
-};
-
-/// POI -> itself: flush the delay stash of producer link `link` (flat POI
-/// index).  Pushed unbounded when a chaos delay opens the stash, so the held
-/// suffix drains after exactly the inbox contents present at open time —
-/// one logical queue-drain of delay, deadlock-free.
-struct FlushDelayedMsg {
-  std::uint32_t link = 0;
 };
 
 /// Engine -> POI: drain and exit.
@@ -164,7 +157,8 @@ struct BarrierMsg {
 };
 
 /// Coordinator -> POI: epoch committed; truncate your replay buffers up to
-/// the watermarks you recorded when forwarding this epoch's barrier.
+/// the watermarks you recorded when forwarding this epoch's barrier (only
+/// while that snapshot is still your last one — see handle_commit).
 struct CheckpointCommitMsg {
   std::uint64_t epoch = 0;
 };
@@ -198,9 +192,9 @@ struct CrashMsg {};
 // DataMsg rides boxed: ReconfMsg (one per POI per wave) sits behind a
 // unique_ptr rather than doubling every slot.
 using Message = std::variant<DataMsg, GetMetricsMsg, std::unique_ptr<ReconfMsg>,
-                             PropagateMsg, MigrateMsg, FlushDelayedMsg,
-                             ShutdownMsg, BarrierMsg, CheckpointCommitMsg,
-                             ReplayRequestMsg, ReplayEndMsg, CrashMsg>;
+                             PropagateMsg, MigrateMsg, ShutdownMsg, BarrierMsg,
+                             CheckpointCommitMsg, ReplayRequestMsg,
+                             ReplayEndMsg, CrashMsg>;
 static_assert(sizeof(Message) <= 72,
               "a Message ring slot must stay DataMsg plus the variant index");
 

@@ -4,39 +4,40 @@
 // per-producer SPSC ring lanes: each registered producer (an upstream POI,
 // the injector) owns one fixed-capacity ring and publishes batches of items
 // by a single atomic tail store; the owning consumer thread round-robin
-// drains lanes without ever taking a lock.  Control messages ride either on
-// a per-lane control queue stamped with the lane position they must not
-// overtake (push_unbounded_after — exact per-producer FIFO of
-// control-behind-data), or on the legacy mutex-guarded shared queue
-// (push / push_unbounded / try_push) for producers without a lane: the
-// manager, sibling POIs migrating state, a POI messaging itself.
+// drains lanes without ever taking a lock.  Control messages ride on a
+// per-lane control queue, each stamped with the lane position it must not
+// overtake: push_unbounded_after(lane) stamps the producer's published
+// tail, and push_unbounded (producers without a lane: the manager, sibling
+// POIs migrating state, a POI messaging itself) uses the control queue of
+// a data-less lane the constructor registers, where every stamp is 0.
 //
 // Ordering contract (what the reconfiguration wave / chaos dedup / ckpt
-// barriers rely on, see CLAUDE.md):
+// barriers rely on, see CLAUDE.md) — one rule for every control message:
 //   * per lane, data items are consumed in push order;
-//   * a control message pushed via push_unbounded_after(lane) is consumed
-//     after every data item published on that lane before it and before any
-//     data item published after it (the stamped watermark);
-//   * the shared queue is FIFO in itself and the consumer serves it *first*
-//     whenever it is non-empty — a driver-pushed control message (e.g. a
-//     checkpoint commit) is never overtaken by a later lane-side control
-//     message (e.g. the next epoch's barrier);
-//   * ordering across different producers' lanes is unspecified, exactly as
-//     the old global FIFO never promised more than some interleaving.
+//   * a control message is consumed after every data item its lane
+//     published before it and before any data item published after it (the
+//     stamped watermark); an unlaned one has a lane with no data, so it is
+//     due at once and waits only for the round-robin scan to reach it — at
+//     most one run per lane;
+//   * control messages on one lane (the unlaned ones included) are FIFO;
+//   * ordering across different lanes is unspecified, exactly as the old
+//     global FIFO never promised more than some interleaving.
 //
-// Consumer side: every pop takes a *run* — the front shared message, one
-// due lane control message, or up to lane_batch consecutive data items from
-// one lane, stopping at that lane's control mark.  A run costs one gate hold,
-// one `head` store and one parked-producer check however long it is; the
-// engine processes the whole run before it pops again, so control is still
-// served between runs (held back by at most one run of data).
+// Consumer side: every pop takes a *run* — one due control message, or up
+// to lane_batch consecutive data items from one lane, stopping at that
+// lane's control mark.  A run costs one gate hold, one `head` store and one
+// parked-producer check however long it is; the engine processes the whole
+// run before it pops again, so control is still served between runs (held
+// back by at most one run of data per lane).  A drain mark (drain_mark /
+// drained_past) tells the consumer when everything published before some
+// point has been popped.
 //
 // Memory ordering: the lock-free hand-off uses seq_cst on the four
 // cross-thread atomics (tail, head, ctrl_mark, the sleep flags).  The two
 // Dekker-style pairs — publish-then-check-consumer-waiting vs
 // arm-waiting-then-scan, and head-store-then-check-producer-waiting vs
-// register-then-recheck — plus lock-then-notify on the shared mutex are what
-// make blocking wake-ups race-free; the consumer additionally loads tail
+// register-then-recheck — plus lock-then-notify on the mutex are what make
+// blocking wake-ups race-free; the consumer additionally loads tail
 // *before* ctrl_mark so a published post-control suffix can never be seen
 // without the control mark that precedes it.  A producer re-reads `head`
 // only when the ring looks full against the last value it saw.  Exactly one
@@ -63,24 +64,27 @@
 
 namespace lar::runtime {
 
-/// Bounded blocking FIFO.  push()/lane_push() block while full (back
-/// pressure); pop() blocks while empty.  close() wakes everyone; pushes on a
-/// closed channel are ignored, pop() drains remaining items then returns
-/// nullopt.  Single consumer; one registered producer thread per lane; any
-/// number of unregistered producers on the shared queue.
+/// Blocking multi-lane FIFO.  lane_push() blocks while its ring is full
+/// (back pressure); control pushes never block; pop() blocks while empty.
+/// close() wakes everyone; pushes on a closed channel are ignored, pop()
+/// drains remaining items then returns nullopt.  Single consumer; one
+/// registered producer thread per lane; any number of unregistered control
+/// producers (push_unbounded).
 template <typename T>
 class Channel {
  public:
-  /// Guard evaluated on every *bounded* push (push / try_push / lane_push).
-  /// Control messages must travel unbounded — a bounded control push can
-  /// deadlock the reconfiguration wave against data back pressure (see
-  /// CLAUDE.md) — so the engine installs validators that reject them; a
-  /// rejected push is a bug and aborts via LAR_CHECK.  A plain function
-  /// pointer keeps the disabled cost at one predictable branch.
+  /// Guard evaluated on every *bounded* push (lane_push).  Control messages
+  /// must travel unbounded — a bounded control push can deadlock the
+  /// reconfiguration wave against data back pressure (see CLAUDE.md) — so
+  /// the engine installs validators that reject them; a rejected push is a
+  /// bug and aborts via LAR_CHECK.  A plain function pointer keeps the
+  /// disabled cost at one predictable branch.
   using PushValidator = bool (*)(const T&);
 
-  explicit Channel(std::size_t capacity) : capacity_(capacity) {
-    LAR_CHECK(capacity >= 1);
+  /// Registers the data-less lane whose control queue push_unbounded uses.
+  Channel() {
+    lanes_.emplace_back(2);
+    num_lanes_.store(1, std::memory_order_release);
   }
 
   /// Installs `v` (nullptr = no checking).  Call before producers start.
@@ -161,19 +165,15 @@ class Channel {
   bool push_unbounded_after(std::uint32_t lane_id, T item) {
     Lane& lane = lanes_[lane_id];
     publish(lane);
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_) return false;
-      const std::uint64_t mark = lane.tail.load(std::memory_order_relaxed);
-      lane.ctrl.emplace_back(std::move(item), mark);
-      if (lane.ctrl.size() == 1) {
-        lane.ctrl_mark.store(mark, std::memory_order_seq_cst);
-      }
-      slow_count_.fetch_add(1, std::memory_order_seq_cst);
-      note_hwm();
-    }
-    not_empty_.notify_one();
-    return true;
+    return push_control(lane, std::move(item));
+  }
+
+  /// Control push from a producer without a lane (any thread): FIFO with
+  /// the other unlaned control messages, due at once, and served when the
+  /// round-robin scan reaches the data-less control lane.  Returns false
+  /// iff closed.
+  bool push_unbounded(T item) {
+    return push_control(lanes_[kUnlaned], std::move(item));
   }
 
   /// Discards `lane`'s staged-but-unpublished items and returns how many
@@ -191,60 +191,11 @@ class Channel {
     return n;
   }
 
-  // --- legacy shared-queue API (unregistered producers) ----------------------
-
-  /// Blocking bounded push; returns false iff the channel is closed.
-  bool push(T item) {
-    LAR_CHECK(validator_ == nullptr || validator_(item));
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || shared_.size() < capacity_; });
-    if (closed_) return false;
-    shared_.push_back(std::move(item));
-    slow_count_.fetch_add(1, std::memory_order_seq_cst);
-    note_hwm();
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Push that ignores the capacity bound (still FIFO with bounded pushes
-  /// from the same producer on this queue).  Used for control messages: the
-  /// reconfiguration wave must never block behind data back pressure, or a
-  /// full queue could deadlock two sibling instances migrating state to
-  /// each other.  Returns false iff closed.
-  bool push_unbounded(T item) {
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_) return false;
-      shared_.push_back(std::move(item));
-      slow_count_.fetch_add(1, std::memory_order_seq_cst);
-      note_hwm();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push; returns false if full or closed.
-  bool try_push(T item) {
-    LAR_CHECK(validator_ == nullptr || validator_(item));
-    {
-      std::lock_guard lock(mutex_);
-      if (closed_ || shared_.size() >= capacity_) return false;
-      shared_.push_back(std::move(item));
-      slow_count_.fetch_add(1, std::memory_order_seq_cst);
-      note_hwm();
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   // --- consumer side ---------------------------------------------------------
 
-  /// Blocking pop of one run, appended to `out`: the front shared message,
-  /// one due lane control message, or up to lane_batch consecutive data
-  /// items from one lane (never past its control mark).  Returns false once
-  /// closed *and* drained.
+  /// Blocking pop of one run, appended to `out`: one due control message,
+  /// or up to lane_batch consecutive data items from one lane (never past
+  /// its control mark).  Returns false once closed *and* drained.
   bool pop_run(std::vector<T>& out) {
     return pop_impl(/*block=*/true, batch_,
                     [&out](T&& item) { out.push_back(std::move(item)); });
@@ -272,6 +223,28 @@ class Channel {
     return item;
   }
 
+  /// Drain mark, consumer thread only: every lane's published tail now.
+  [[nodiscard]] std::vector<std::uint64_t> drain_mark() const {
+    std::vector<std::uint64_t> mark(
+        num_lanes_.load(std::memory_order_acquire));
+    for (std::size_t i = 0; i < mark.size(); ++i) {
+      mark[i] = lanes_[i].tail.load(std::memory_order_seq_cst);
+    }
+    return mark;
+  }
+
+  /// Consumer thread only: whether every item published before `mark` was
+  /// taken has been popped.  A lane added after the mark counts as passed.
+  [[nodiscard]] bool drained_past(
+      const std::vector<std::uint64_t>& mark) const {
+    for (std::size_t i = 0; i < mark.size(); ++i) {
+      if (lanes_[i].head.load(std::memory_order_relaxed) < mark[i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// Closes the channel: producers fail fast, the consumer drains then ends.
   void close() {
     {
@@ -282,7 +255,7 @@ class Channel {
     not_full_.notify_all();
   }
 
-  /// Published items currently queued (lanes + control + shared).  Lock-free
+  /// Published items currently queued (lane data + control).  Lock-free
   /// relaxed sums — exact when quiescent, a racy-but-safe estimate while
   /// producers run; never stalls the data plane (the obs publish path calls
   /// this from outside the consumer thread).
@@ -301,7 +274,7 @@ class Channel {
   }
 
   /// Atomically removes and returns everything currently published (lane
-  /// data and control merged in per-lane FIFO order, then the shared queue).
+  /// data and control merged in per-lane FIFO order).
   /// Crash recovery only (lar::ckpt): the consumer gate makes this safe
   /// against a victim thread still popping; producers may keep pushing
   /// concurrently — anything published after the drain is simply seen by the
@@ -331,9 +304,6 @@ class Channel {
         lane.head.store(t, std::memory_order_seq_cst);
         lane.ctrl_mark.store(kNoCtrl, std::memory_order_seq_cst);
       }
-      slow_removed += shared_.size();
-      for (T& item : shared_) out.push_back(std::move(item));
-      shared_.clear();
       if (slow_removed != 0) {
         slow_count_.fetch_sub(slow_removed, std::memory_order_seq_cst);
       }
@@ -358,6 +328,7 @@ class Channel {
 
  private:
   static constexpr std::uint64_t kNoCtrl = ~std::uint64_t{0};
+  static constexpr std::uint32_t kUnlaned = 0;  ///< push_unbounded's lane
 
   struct Lane {
     explicit Lane(std::size_t capacity)
@@ -416,10 +387,28 @@ class Channel {
     }
   }
 
+  /// Enqueues `item` on `lane`'s control queue, stamped with the lane's
+  /// published tail (always 0 on the data-less unlaned lane).
+  bool push_control(Lane& lane, T item) {
+    {
+      std::lock_guard lock(mutex_);
+      if (closed_) return false;
+      const std::uint64_t mark = lane.tail.load(std::memory_order_relaxed);
+      lane.ctrl.emplace_back(std::move(item), mark);
+      if (lane.ctrl.size() == 1) {
+        lane.ctrl_mark.store(mark, std::memory_order_seq_cst);
+      }
+      slow_count_.fetch_add(1, std::memory_order_seq_cst);
+      note_hwm();
+    }
+    not_empty_.notify_one();
+    return true;
+  }
+
   /// One run pop.  `sink` receives each taken item under the gate, in
-  /// order.  The lock-free scan serves lane data whenever no control or
-  /// shared message is pending; otherwise the locked scan serves, in order,
-  /// the shared queue, a due lane control message, lane data.  Blocking pops
+  /// order.  The lock-free scan serves lane data whenever no control
+  /// message is pending; otherwise the locked scan serves, per lane in
+  /// round-robin order, a due control message or lane data.  Blocking pops
   /// park on not_empty_ in an explicit loop that re-arms consumer_waiting_
   /// and rescans before every sleep (see the header comment).
   template <typename Sink>
@@ -516,18 +505,10 @@ class Channel {
     return false;
   }
 
-  /// Full scan under mutex_ + gate: shared queue first (driver-side control
-  /// keeps its old FIFO edge over later lane-side control), then per lane a
-  /// ready control message or a data run below the pending mark.
+  /// Full scan under mutex_ + gate: per lane in round-robin order, a due
+  /// control message or a data run below the pending mark.
   template <typename Sink>
   bool take_any_locked(std::size_t limit, Sink& sink, bool& wake) {
-    if (!shared_.empty()) {
-      sink(std::move(shared_.front()));
-      shared_.pop_front();
-      slow_count_.fetch_sub(1, std::memory_order_seq_cst);
-      wake = true;  // shared pops free bounded-push capacity
-      return true;
-    }
     const std::size_t n = num_lanes_.load(std::memory_order_acquire);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = cursor_ + k < n ? cursor_ + k : cursor_ + k - n;
@@ -575,10 +556,7 @@ class Channel {
   std::size_t batch_ = 1;
   std::size_t cursor_ = 0;  ///< lane round-robin position (consumer side)
 
-  std::deque<T> shared_;    ///< legacy queue, guarded by mutex_
-  std::size_t capacity_;    ///< bound for shared-queue push/try_push
-
-  /// Pending control + shared items; the consumer takes its lock-free scan
+  /// Pending control messages; the consumer takes its lock-free scan
   /// whenever this is zero.
   std::atomic<std::size_t> slow_count_{0};
 

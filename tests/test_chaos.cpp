@@ -9,6 +9,7 @@
 // injected fault may lose or duplicate a tuple's effect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -145,14 +146,14 @@ TEST(Injector, PerEntityStreamsAdvanceIndependently) {
 
 TEST(ChannelValidatorDeathTest, BoundedPushRejectsControlItems) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  runtime::Channel<int> ch(8);
+  runtime::Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(8);
   // Convention for this test: even = data, odd = control.
   ch.set_push_validator([](const int& v) { return v % 2 == 0; });
-  EXPECT_TRUE(ch.push(2));
-  EXPECT_TRUE(ch.try_push(4));
+  EXPECT_TRUE(ch.lane_push(lane, 2));
   EXPECT_TRUE(ch.push_unbounded(3));  // control may always go unbounded
-  EXPECT_DEATH(ch.push(5), "LAR_CHECK failed");
-  EXPECT_DEATH(ch.try_push(5), "LAR_CHECK failed");
+  EXPECT_TRUE(ch.push_unbounded_after(lane, 5));
+  EXPECT_DEATH(ch.lane_push(lane, 7), "LAR_CHECK failed");
 }
 
 // --- engine fixtures (mirrors test_runtime.cpp) ------------------------------
@@ -289,6 +290,47 @@ TEST(EngineChaos, ExactlyOnceUnderChannelDuplicateDelayAndStall) {
   EXPECT_GT(inj.fired(FaultSite::kChannelDuplicate), 0u);
   EXPECT_GT(inj.fired(FaultSite::kChannelDelay), 0u);
   EXPECT_EQ(m.data_dups_dropped, inj.fired(FaultSite::kChannelDuplicate));
+  engine.shutdown();
+}
+
+TEST(EngineChaos, ChannelDelayHoldsALinkSuffixExactlyOnce) {
+  // A delay stash is delivered once the inbox has popped everything that
+  // was published when it opened, so tuples the held link sends meanwhile
+  // join it: some stash must flush more than the tuple that opened it, and
+  // the held suffixes must still apply exactly once across a wave.
+  const std::uint32_t n = 3;
+  const Topology topo = make_two_stage_topology(n);
+  const Placement place = Placement::round_robin(topo, n);
+  FaultPlan plan(211);
+  plan.set(FaultSite::kChannelDelay, {.rate = 0.05});
+  obs::TraceRecorder trace;
+  chaos::Injector inj(plan, nullptr, &trace);
+  runtime::Engine engine(topo, place, counting_factory(),
+                         {.fields_mode = FieldsRouting::kTable,
+                          .injector = &inj});
+  engine.start();
+  core::Manager mgr(topo, place, {});
+
+  GroundTruth truth;
+  workload::SyntheticGenerator gen(
+      {.num_values = 90, .locality = 0.8, .padding = 0, .seed = 37});
+  pump(engine, gen, 6000, &truth);
+  engine.reconfigure(mgr);
+  pump(engine, gen, 6000, &truth);
+  engine.flush();
+
+  expect_counts_match(engine, 1, n, truth.field0);
+  expect_counts_match(engine, 2, n, truth.field1);
+  std::uint64_t flushes = 0;
+  std::uint64_t largest = 0;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (!e.entity.starts_with("delay_flush/")) continue;
+    ++flushes;
+    largest = std::max(largest, e.count);
+  }
+  EXPECT_GT(flushes, 0u);
+  EXPECT_GE(largest, 2u) << "none of " << flushes
+                         << " delay stashes held more than one tuple";
   engine.shutdown();
 }
 

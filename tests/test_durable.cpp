@@ -40,12 +40,36 @@ using chaos::FaultSite;
 
 // --- fixtures ----------------------------------------------------------------
 
-/// Unique per-test scratch directory (wiped at entry, left behind for
-/// post-mortem inspection on failure).
+/// The running test's scratch directories: removed when it passes, left
+/// behind for post-mortem inspection when it fails.
+std::vector<fs::path>& scratch_dirs() {
+  static std::vector<fs::path> dirs;
+  return dirs;
+}
+
+class ScratchDirCleaner : public ::testing::EmptyTestEventListener {
+  void OnTestEnd(const ::testing::TestInfo& info) override {
+    if (!info.result()->Failed()) {
+      std::error_code ec;  // best effort: a listener must not throw
+      for (const fs::path& dir : scratch_dirs()) fs::remove_all(dir, ec);
+    }
+    scratch_dirs().clear();
+  }
+};
+
+[[maybe_unused]] const bool kCleanerInstalled = [] {
+  ::testing::UnitTest::GetInstance()->listeners().Append(
+      new ScratchDirCleaner);
+  return true;
+}();
+
+/// Unique per-test scratch directory (wiped at entry, and at the end of a
+/// passing test).
 fs::path fresh_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() /
                        ("lar_durable_" + name + "_" + std::to_string(getpid()));
   fs::remove_all(dir);
+  scratch_dirs().push_back(dir);
   return dir;
 }
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <queue>
 #include <utility>
 
@@ -366,6 +367,13 @@ struct KwayParam {
   std::size_t edges;
   std::uint32_t parts;
 };
+
+// Test names and listings print the fields, never the struct's raw bytes
+// (its padding would leak stack garbage into the names). gtest_discover_tests
+// names each index-named case after this value: `.../v50_e150_k2`.
+void PrintTo(const KwayParam& p, std::ostream* os) {
+  *os << "v" << p.vertices << "_e" << p.edges << "_k" << p.parts;
+}
 
 class PartitionerProperty : public ::testing::TestWithParam<KwayParam> {};
 

@@ -1,12 +1,15 @@
 // Tests for the hybrid Channel (DESIGN.md §13): per-producer SPSC ring
 // lanes with batched publication and watermarked control, differentially
-// against the legacy shared mutex queue — per-producer FIFO must be
-// identical between the two paths, with control messages pinned at the
-// exact data position they were pushed at.  Run pops must match one-item
-// pops, stop at control marks and wake parked producers at most once per
-// run; bursty publishers must never strand a parked consumer.
+// against one unlaned control FIFO that every producer shares — per-producer
+// FIFO must be identical between the two paths, with control messages
+// pinned at the exact data position they were pushed at.  Unlaned control
+// is served within one round of the lanes; drain marks pass once every
+// item published before them has been popped.  Run pops must match
+// one-item pops, stop at control marks and wake parked producers at most
+// once per run; bursty publishers must never strand a parked consumer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -44,7 +47,7 @@ void check_per_producer_fifo(
   }
 }
 
-// --- differential: lane channel vs reference shared channel ----------------
+// --- differential: lane channel vs a reference unlaned FIFO ---------------
 
 TEST(QueueDifferential, LanesMatchSharedQueuePerProducerOrder) {
   constexpr int kProducers = 8;
@@ -52,7 +55,7 @@ TEST(QueueDifferential, LanesMatchSharedQueuePerProducerOrder) {
   constexpr std::int64_t kCtrlEvery = 97;
 
   const auto run = [&](bool use_lanes) {
-    Channel<std::int64_t> ch(256);
+    Channel<std::int64_t> ch;
     std::vector<std::uint32_t> lanes;
     if (use_lanes) {
       for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(64));
@@ -76,7 +79,7 @@ TEST(QueueDifferential, LanesMatchSharedQueuePerProducerOrder) {
           if (use_lanes) {
             ASSERT_TRUE(ch.lane_push(lanes[p], base + i));
           } else {
-            ASSERT_TRUE(ch.push(base + i));
+            ASSERT_TRUE(ch.push_unbounded(base + i));
           }
         }
         // Trailing control: also exercises flush-before-control at the end.
@@ -115,7 +118,7 @@ TEST(QueueDifferential, LanesMatchSharedQueuePerProducerOrder) {
 // --- batching semantics ----------------------------------------------------
 
 TEST(QueueBatch, StagedItemsInvisibleUntilFlushOrBatchBoundary) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   ch.set_lane_batch(3);
   ASSERT_TRUE(ch.lane_push(lane, 1));
@@ -135,7 +138,7 @@ TEST(QueueBatch, StagedItemsInvisibleUntilFlushOrBatchBoundary) {
 }
 
 TEST(QueueBatch, ControlPushPublishesStagedBatchFirst) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   ch.set_lane_batch(100);  // larger than anything staged here
   ASSERT_TRUE(ch.lane_push(lane, 1));
@@ -149,7 +152,7 @@ TEST(QueueBatch, ControlPushPublishesStagedBatchFirst) {
 }
 
 TEST(QueueBatch, ControlHoldsBackDataPublishedAfterIt) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   ASSERT_TRUE(ch.lane_push(lane, 1));
   ASSERT_TRUE(ch.push_unbounded_after(lane, -1));
@@ -159,24 +162,82 @@ TEST(QueueBatch, ControlHoldsBackDataPublishedAfterIt) {
   EXPECT_EQ(ch.pop(), 2);
 }
 
-TEST(QueueBatch, SharedQueueServedBeforeLaneControl) {
-  // The engine relies on driver-side shared control (e.g. a checkpoint
-  // commit) keeping its FIFO edge over later lane-side control (e.g. the
-  // next epoch's barrier).
-  Channel<int> ch(16);
-  const std::uint32_t lane = ch.add_lane(16);
-  ASSERT_TRUE(ch.lane_push(lane, 1));
-  ASSERT_TRUE(ch.push_unbounded_after(lane, 100));  // lane control
-  ASSERT_TRUE(ch.push_unbounded(200));              // shared (driver) control
-  EXPECT_EQ(ch.pop(), 200);
-  EXPECT_EQ(ch.pop(), 1);
-  EXPECT_EQ(ch.pop(), 100);
+TEST(QueueBatch, UnlanedControlServedWithinOneRoundOfLanes) {
+  // An unlaned control message counts as having a lane with no data: it is
+  // due at once, so it waits for at most one run per lane, and unlaned
+  // messages stay FIFO among themselves.
+  constexpr int kLanes = 3;
+  constexpr int kPerLane = 8;
+  Channel<int> ch;
+  ch.set_lane_batch(2);
+  std::vector<std::uint32_t> lanes;
+  for (int l = 0; l < kLanes; ++l) lanes.push_back(ch.add_lane(16));
+  for (int l = 0; l < kLanes; ++l) {
+    for (int i = 0; i < kPerLane; ++i) {
+      ASSERT_TRUE(ch.lane_push(lanes[l], l * 100 + i));
+    }
+  }
+  // Pop one run so the round-robin cursor sits past the control lane.
+  std::vector<int> run;
+  ASSERT_TRUE(ch.try_pop_run(run));
+  for (int c = 1; c <= 3; ++c) ASSERT_TRUE(ch.push_unbounded(-c));
+
+  std::vector<int> control;
+  int data_runs_before_first = 0;
+  for (run.clear(); ch.try_pop_run(run); run.clear()) {
+    if (run.front() < 0) {
+      ASSERT_EQ(run.size(), 1u) << "control inside a run";
+      control.push_back(run.front());
+    } else if (control.empty()) {
+      ++data_runs_before_first;
+    }
+  }
+  EXPECT_LE(data_runs_before_first, kLanes);
+  EXPECT_EQ(control, (std::vector<int>{-1, -2, -3}));
+}
+
+TEST(QueueDrainMark, PassedOnlyOnceEveryPreMarkItemIsPopped) {
+  Channel<int> ch;
+  // An empty channel has passed its own mark.
+  EXPECT_TRUE(ch.drained_past(ch.drain_mark()));
+
+  const std::uint32_t a = ch.add_lane(16);
+  const std::uint32_t b = ch.add_lane(16);
+  ch.set_lane_batch(2);
+  ASSERT_TRUE(ch.lane_push(a, 1));
+  ASSERT_TRUE(ch.lane_push(a, 2));  // published
+  ASSERT_TRUE(ch.lane_push(b, 10));
+  ASSERT_TRUE(ch.lane_push(b, 11));  // published
+  ASSERT_TRUE(ch.lane_push(b, 12));  // staged: not part of the mark
+  ASSERT_TRUE(ch.push_unbounded(-1));
+  const std::vector<std::uint64_t> mark = ch.drain_mark();
+  EXPECT_FALSE(ch.drained_past(mark));
+
+  // A lane added after the mark, and data published after it, never block.
+  const std::uint32_t late = ch.add_lane(16);
+  ASSERT_TRUE(ch.lane_push(late, 100));
+  ch.lane_flush(late);
+  ASSERT_TRUE(ch.lane_push(a, 3));
+  ch.lane_flush(a);
+
+  std::vector<int> popped;
+  while (!ch.drained_past(mark)) {
+    const auto v = ch.try_pop();
+    ASSERT_TRUE(v.has_value()) << "mark never passed";
+    popped.push_back(*v);
+  }
+  for (const int pre : {1, 2, 10, 11}) {
+    EXPECT_NE(std::find(popped.begin(), popped.end(), pre), popped.end())
+        << pre << " still queued when the mark passed";
+  }
+  ch.lane_flush(b);
+  EXPECT_TRUE(ch.drained_past(mark));  // 12 was published after the mark
 }
 
 // --- run pops ---------------------------------------------------------------
 
 TEST(QueueRun, RunStopsExactlyAtControlMarkAndAtTheBatchCap) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(32);
   ch.set_lane_batch(4);
   for (int i = 1; i <= 6; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
@@ -196,7 +257,7 @@ TEST(QueueRun, RunStopsExactlyAtControlMarkAndAtTheBatchCap) {
 }
 
 TEST(QueueRun, BatchOnePopsOneItemAtATime) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   for (int i = 1; i <= 5; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
   std::vector<int> run;
@@ -221,7 +282,7 @@ TEST(QueueRun, RunsMatchOneItemPopsPerProducer) {
   constexpr std::size_t kBatch = 7;
 
   const auto run = [&](bool by_runs) {
-    Channel<std::int64_t> ch(256);
+    Channel<std::int64_t> ch;
     std::vector<std::uint32_t> lanes;
     for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(32));
     ch.set_lane_batch(kBatch);
@@ -286,7 +347,7 @@ TEST(QueueRun, ParkedProducerIsWokenAtMostOncePerRun) {
   // full ring; each run frees lane_batch slots with one head store, so it
   // may wake the producer once — never once per item.
   constexpr int kItems = 96;
-  Channel<int> ch(4);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(8);
   ch.set_lane_batch(4);
   std::thread producer([&] {
@@ -328,7 +389,7 @@ TEST(QueueWake, BurstyProducersNeverStrandAParkedConsumer) {
   // noise is the failure signal.
   constexpr auto kBudget = std::chrono::seconds(4);
   constexpr auto kStall = std::chrono::seconds(10);
-  Channel<std::int64_t> ch(64);
+  Channel<std::int64_t> ch;
   std::vector<std::uint32_t> lanes;
   for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(16));
 
@@ -407,7 +468,7 @@ TEST(QueueWake, BurstyProducersNeverStrandAParkedConsumer) {
 // --- abort / drain ---------------------------------------------------------
 
 TEST(QueueAbort, AbortStagedDiscardsOnlyUnpublishedItems) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   ch.set_lane_batch(100);
   for (int i = 1; i <= 7; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
@@ -420,18 +481,21 @@ TEST(QueueAbort, AbortStagedDiscardsOnlyUnpublishedItems) {
 }
 
 TEST(QueueDrain, DrainMergesLaneDataControlAndShared) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   ASSERT_TRUE(ch.lane_push(lane, 1));
   ASSERT_TRUE(ch.push_unbounded_after(lane, -1));
   ASSERT_TRUE(ch.lane_push(lane, 2));
   ASSERT_TRUE(ch.push_unbounded(-2));
+  ASSERT_TRUE(ch.push_unbounded(-3));
   const auto out = ch.drain();
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[1], -1);  // control at its watermark position
-  EXPECT_EQ(out[2], 2);
-  EXPECT_EQ(out[3], -2);  // shared queue after the lanes
+  ASSERT_EQ(out.size(), 5u);
+  const auto at = [&out](int v) {
+    return std::find(out.begin(), out.end(), v) - out.begin();
+  };
+  EXPECT_LT(at(1), at(-1));  // control at its watermark position
+  EXPECT_LT(at(-1), at(2));
+  EXPECT_LT(at(-2), at(-3));  // the unlaned control FIFO, shared by all
   EXPECT_EQ(ch.size(), 0u);
   EXPECT_FALSE(ch.try_pop().has_value());
 }
@@ -444,7 +508,7 @@ TEST(QueueStress, CloseAndDrainDuringConcurrentPushConservesItems) {
   // while producers keep pushing until close().
   constexpr int kProducers = 12;
   constexpr std::int64_t kItems = 20'000;
-  Channel<std::int64_t> ch(128);
+  Channel<std::int64_t> ch;
   std::vector<std::uint32_t> lanes;
   lanes.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(32));
@@ -514,7 +578,7 @@ TEST(QueueStress, CloseAndDrainDuringConcurrentPushConservesItems) {
 // --- metrics ---------------------------------------------------------------
 
 TEST(QueueMetrics, SizeAndHighWaterMarkTrackPublishedDepth) {
-  Channel<int> ch(16);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(16);
   EXPECT_EQ(ch.high_water_mark(), 0u);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(ch.lane_push(lane, i));
@@ -528,7 +592,7 @@ TEST(QueueMetrics, SizeAndHighWaterMarkTrackPublishedDepth) {
 }
 
 TEST(QueueBackpressure, FullLaneBlocksUntilConsumed) {
-  Channel<int> ch(4);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(2);  // tiny ring
   ASSERT_TRUE(ch.lane_push(lane, 1));
   ASSERT_TRUE(ch.lane_push(lane, 2));
@@ -545,7 +609,7 @@ TEST(QueueBackpressure, FullLaneBlocksUntilConsumed) {
 }
 
 TEST(QueueClose, CloseWakesBlockedLaneProducer) {
-  Channel<int> ch(4);
+  Channel<int> ch;
   const std::uint32_t lane = ch.add_lane(2);
   ASSERT_TRUE(ch.lane_push(lane, 1));
   ASSERT_TRUE(ch.lane_push(lane, 2));

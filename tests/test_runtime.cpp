@@ -25,18 +25,20 @@ namespace {
 // --- Channel ------------------------------------------------------------------
 
 TEST(Channel, FifoOrder) {
-  Channel<int> ch(16);
-  for (int i = 0; i < 10; ++i) ch.push(i);
+  Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(16);
+  for (int i = 0; i < 10; ++i) ch.lane_push(lane, i);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(ch.pop().value(), i);
 }
 
 TEST(Channel, BlockingPushRespectsCapacity) {
-  Channel<int> ch(2);
-  ch.push(1);
-  ch.push(2);
+  Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(2);
+  ch.lane_push(lane, 1);
+  ch.lane_push(lane, 2);
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    ch.push(3);
+    ch.lane_push(lane, 3);
     third_pushed = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -47,33 +49,33 @@ TEST(Channel, BlockingPushRespectsCapacity) {
 }
 
 TEST(Channel, UnboundedPushIgnoresCapacity) {
-  Channel<int> ch(1);
-  ch.push(1);
-  EXPECT_TRUE(ch.push_unbounded(2));
+  Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(2);
+  ch.lane_push(lane, 1);
+  ch.lane_push(lane, 2);  // the ring is full
   EXPECT_TRUE(ch.push_unbounded(3));
-  EXPECT_EQ(ch.size(), 3u);
-  EXPECT_EQ(ch.pop().value(), 1);
-  EXPECT_EQ(ch.pop().value(), 2);  // still FIFO
-}
-
-TEST(Channel, TryPushFailsWhenFull) {
-  Channel<int> ch(1);
-  EXPECT_TRUE(ch.try_push(1));
-  EXPECT_FALSE(ch.try_push(2));
+  EXPECT_TRUE(ch.push_unbounded(4));
+  EXPECT_EQ(ch.size(), 4u);
+  std::vector<int> data;
+  std::vector<int> control;
+  while (const auto v = ch.try_pop()) (*v >= 3 ? control : data).push_back(*v);
+  EXPECT_EQ(data, (std::vector<int>{1, 2}));
+  EXPECT_EQ(control, (std::vector<int>{3, 4}));  // still FIFO
 }
 
 TEST(Channel, CloseDrainsThenEnds) {
-  Channel<int> ch(8);
-  ch.push(42);
+  Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(8);
+  ch.lane_push(lane, 42);
   ch.close();
-  EXPECT_FALSE(ch.push(43));
+  EXPECT_FALSE(ch.lane_push(lane, 43));
   EXPECT_FALSE(ch.push_unbounded(44));
   EXPECT_EQ(ch.pop().value(), 42);
   EXPECT_FALSE(ch.pop().has_value());
 }
 
 TEST(Channel, CloseWakesBlockedConsumer) {
-  Channel<int> ch(8);
+  Channel<int> ch;
   std::thread consumer([&] { EXPECT_FALSE(ch.pop().has_value()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   ch.close();

@@ -147,15 +147,18 @@ TEST(Torture, FiveLiveReconfigurationsUnderContinuousStream) {
 // --- channel stress -----------------------------------------------------------------
 
 TEST(ChannelStress, ManyProducersOneConsumerLosesNothing) {
-  runtime::Channel<std::uint64_t> ch(64);
+  runtime::Channel<std::uint64_t> ch;
   constexpr int kProducers = 8;
   constexpr std::uint64_t kPerProducer = 5'000;
+  std::vector<std::uint32_t> lanes;
+  for (int p = 0; p < kProducers; ++p) lanes.push_back(ch.add_lane(8));
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
+    producers.emplace_back([&ch, &lanes, p] {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(ch.push(static_cast<std::uint64_t>(p) * kPerProducer + i));
+        ASSERT_TRUE(ch.lane_push(
+            lanes[p], static_cast<std::uint64_t>(p) * kPerProducer + i));
       }
     });
   }
@@ -181,10 +184,11 @@ TEST(ChannelStress, ManyProducersOneConsumerLosesNothing) {
 }
 
 TEST(ChannelStress, UnboundedControlInterleavesWithBoundedData) {
-  runtime::Channel<int> ch(4);
+  runtime::Channel<int> ch;
+  const std::uint32_t lane = ch.add_lane(4);
   std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) ch.push(i);
-    ch.push_unbounded(-1);  // sentinel
+    for (int i = 0; i < 1000; ++i) ch.lane_push(lane, i);
+    ch.push_unbounded_after(lane, -1);  // sentinel behind the lane's data
   });
   int data_seen = 0;
   while (true) {
